@@ -15,22 +15,18 @@ from .diagnostics import (
     construct_spurious_t2,
     m_set_residual,
     mu_exclusion,
-    spurious_via_rank,
     subgradient_membership,
     validity_certificate,
 )
 from .hermitian import (
     DensityLike,
-    EigendecompositionError,
     HermitianMatrix,
-    SpectralDecomposition,
     is_psd,
     load_matrix,
     project_to_density,
     random_density,
     random_hermitian,
     save_matrix,
-    spectral_decompose,
     trace_norm,
 )
 from .objectives import LEAST_SQUARES, NEG_LOG_LIKELIHOOD, Objective

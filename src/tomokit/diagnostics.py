@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import DensityLike, HermitianMatrix, entries_of, random_density
+from .hermitian import DensityLike, HermitianMatrix, entries_of
 from .objectives import Objective
-from .operators import MeasurementData, MeasurementOperator, pauli_six_state
-from .solvers import FactorState, StepPolicy, fgd_solve
+from .operators import MeasurementData, pauli_six_state
 
 VALID = "valid"
 SPURIOUS = "spurious"
@@ -181,33 +180,3 @@ def construct_spurious_t2(t: float) -> tuple[DensityLike, MeasurementData, Densi
     rho_true = DensityLike(preimage)
     return rho_fix, data, rho_true
 
-
-def spurious_via_rank(
-    operator: MeasurementOperator,
-    obj: Objective,
-    true_rank: int,
-    start_rank: int,
-    seed: int,
-    max_iter: int = 20000,
-    tol: float = 1e-12,
-) -> tuple[DensityLike, ValidityCertificate]:
-    """Drive the factorized iteration into a spurious fixed point by rank starvation.
-
-    Generates a truth of rank `true_rank` via random_density(dim, true_rank,
-    seed), takes exact data from it, and runs the rank-limited factorized
-    solve from a random rank-`start_rank` initializer (seed + 1). The limit
-    has rank <= start_rank < true_rank, so it cannot be the solution. The
-    `obj` argument supplies the fit kind and floor; its data is replaced.
-    """
-    if not 1 <= start_rank < true_rank:
-        raise ValueError(
-            f"need 1 <= start_rank < true_rank, got start={start_rank}, true={true_rank}"
-        )
-    N = operator.dim
-    truth = random_density(N, true_rank, seed)
-    data = MeasurementData(operator.apply(truth))
-    fit = Objective(operator, data, kind=obj.kind, floor=obj.floor)
-    start = FactorState.from_density(random_density(N, start_rank, seed + 1), start_rank)
-    final, _trace = fgd_solve(start, fit, StepPolicy(), max_iter=max_iter, tol=tol)
-    result = final.density()
-    return result, validity_certificate(result, fit)

@@ -1,8 +1,7 @@
 """Experiment orchestration: synthetic datasets, reconstruction runs, summaries.
 
 Every random draw is derived from (master seed, instance key), so datasets
-and run tables are reproducible no matter how instances are scheduled. Set
-TOMO_THREADS to run instances concurrently.
+and run tables are reproducible no matter how instances are scheduled.
 """
 
 from __future__ import annotations
@@ -10,9 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,21 +183,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TOMO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def generate_dataset(spec: ExperimentSpec) -> dict:
     """Write truth matrices plus exact/noisy data per instance, with a manifest.
 
@@ -249,7 +231,7 @@ def generate_dataset(spec: ExperimentSpec) -> dict:
         }
         return entry
 
-    instances = _map_ordered(build, keys)
+    instances = [build(key) for key in keys]
     manifest = {"config": spec.config_dict(), "instances": instances}
     _write_json(out / "manifest.json", manifest)
     return manifest
@@ -378,6 +360,35 @@ def run_solver_config(
     raise ValueError(f"unknown solver kind {kind!r}")
 
 
+def _run_record(
+    instance_id: str,
+    truth: DensityLike,
+    truth_desc: dict,
+    solver_id: str,
+    variant: str,
+    final: DensityLike,
+    trace: SolverTrace | None,
+    obj: Objective,
+    wall: float,
+    oracle_distance: float = math.nan,
+) -> RunRecord:
+    """Record of one solve, certified at its final state; no trace means the oracle."""
+    return RunRecord(
+        instance_id=instance_id,
+        truth=truth_desc,
+        solver_id=solver_id,
+        data_variant=variant,
+        trace_distance_to_truth=trace_norm(final.entries - truth.entries),
+        trace_distance_to_oracle=oracle_distance,
+        final_objective=obj.value(final),
+        certificate=validity_certificate(final, obj),
+        iterations=trace.iterations if trace is not None else -1,
+        stop_reason=trace.stop_reason if trace is not None else "oracle",
+        floor_triggered=obj.floor_active(final),
+        wall_time=wall,
+    )
+
+
 def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[RunRecord]:
     """Run every configured solver on every dataset instance.
 
@@ -432,24 +443,14 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
                 )
 
             rows.append(
-                RunRecord(
-                    instance_id=entry["id"],
-                    truth=truth_desc,
-                    solver_id=solver_id_of(cfg),
-                    data_variant=variant,
-                    trace_distance_to_truth=trace_norm(final.entries - truth.entries),
-                    trace_distance_to_oracle=oracle_distance,
-                    final_objective=obj.value(final),
-                    certificate=validity_certificate(final, obj),
-                    iterations=trace.iterations if trace is not None else -1,
-                    stop_reason=trace.stop_reason if trace is not None else "oracle",
-                    floor_triggered=obj.floor_active(final),
-                    wall_time=wall,
+                _run_record(
+                    entry["id"], truth, truth_desc, solver_id_of(cfg), variant,
+                    final, trace, obj, wall, oracle_distance,
                 )
             )
         return rows
 
-    nested = _map_ordered(process, list(enumerate(manifest["instances"])))
+    nested = [process(item) for item in enumerate(manifest["instances"])]
     records = [row for rows in nested for row in rows]
     if out_dir is not None:
         out = Path(out_dir)
@@ -500,26 +501,15 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
             start = time.perf_counter()
             state, trace = fgd_solve(state0, obj, StepPolicy(), max_iter=max_iter, tol=tol)
             wall = time.perf_counter() - start
-            final = state.density()
             rows.append(
-                RunRecord(
-                    instance_id=f"t{t_idx:03d}",
-                    truth={"rank": true_rank, "seed": truth_seed},
-                    solver_id=f"fgd-{fit}-r{r}",
-                    data_variant="exact",
-                    trace_distance_to_truth=trace_norm(final.entries - truth.entries),
-                    trace_distance_to_oracle=math.nan,
-                    final_objective=obj.value(final),
-                    certificate=validity_certificate(final, obj),
-                    iterations=trace.iterations,
-                    stop_reason=trace.stop_reason,
-                    floor_triggered=obj.floor_active(final),
-                    wall_time=wall,
+                _run_record(
+                    f"t{t_idx:03d}", truth, {"rank": true_rank, "seed": truth_seed},
+                    f"fgd-{fit}-r{r}", "exact", state.density(), trace, obj, wall,
                 )
             )
         return rows
 
-    nested = _map_ordered(process, list(range(count)))
+    nested = [process(t_idx) for t_idx in range(count)]
     records = [row for rows in nested for row in rows]
 
     summary = []

@@ -7,6 +7,7 @@ safe to share between threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,15 +16,6 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 PSD_EIG_TOL = 1e-9
 TRACE_RTOL = 1e-9
-RECONSTRUCTION_RTOL = 1e-10
-
-
-class EigendecompositionError(RuntimeError):
-    """Eigensolver failure, or a factorization that does not reproduce its input."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _as_square_complex(entries) -> np.ndarray:
@@ -51,7 +43,8 @@ class HermitianMatrix:
     def __post_init__(self):
         arr = _as_square_complex(self.entries)
         deviation = float(np.abs(arr - arr.conj().T).max())
-        if deviation > HERMITIAN_ATOL:
+        # Negated so that NaN (from any non-finite entry) fails too.
+        if not deviation <= HERMITIAN_ATOL:
             raise ValueError(
                 f"matrix is not Hermitian: max elementwise |A - A*| = {deviation:.3e}"
             )
@@ -77,8 +70,8 @@ class DensityLike:
         if not isinstance(self.matrix, HermitianMatrix):
             object.__setattr__(self, "matrix", HermitianMatrix(self.matrix))
         c = float(self.trace_target)
-        if not c > 0:
-            raise ValueError(f"trace_target must be positive, got {c}")
+        if not 0 < c < math.inf:
+            raise ValueError(f"trace_target must be positive and finite, got {c}")
         object.__setattr__(self, "trace_target", c)
         tr = self.matrix.trace()
         if abs(tr - c) > TRACE_RTOL * c:
@@ -98,34 +91,6 @@ class DensityLike:
     @property
     def dim(self) -> int:
         return self.matrix.dim
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues in ascending order; eigenvectors as the columns of a unitary."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectral_decompose(H) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, certifying the reconstruction residual."""
-    arr = entries_of(H)
-    try:
-        vals, vecs = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionError(f"eigensolver did not converge: {exc}") from exc
-    recon = (vecs * vals) @ vecs.conj().T
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    residual = float(np.linalg.norm(recon - arr)) / scale
-    if residual > RECONSTRUCTION_RTOL:
-        raise EigendecompositionError(
-            f"factorization residual {residual:.3e} exceeds {RECONSTRUCTION_RTOL:.1e}",
-            residual=residual,
-        )
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return SpectralDecomposition(vals, vecs)
 
 
 def trace_norm(A) -> float:
@@ -187,25 +152,6 @@ def random_hermitian(N: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
     return HermitianMatrix(scale * 0.5 * (G + G.conj().T))
-
-
-def hermitian_basis(N: int) -> np.ndarray:
-    """Orthonormal basis of Herm(N) under <A, B> = tr(AB), shape (N*N, N, N)."""
-    basis = np.zeros((N * N, N, N), dtype=np.complex128)
-    idx = 0
-    for i in range(N):
-        basis[idx, i, i] = 1.0
-        idx += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(N):
-        for j in range(i + 1, N):
-            basis[idx, i, j] = inv_sqrt2
-            basis[idx, j, i] = inv_sqrt2
-            idx += 1
-            basis[idx, i, j] = 1j * inv_sqrt2
-            basis[idx, j, i] = -1j * inv_sqrt2
-            idx += 1
-    return basis
 
 
 # --- serialization -----------------------------------------------------------

@@ -47,9 +47,6 @@ class Objective:
         if not self.floor > 0:
             raise ValueError(f"floor must be positive, got {self.floor}")
 
-    def predictions(self, rho) -> np.ndarray:
-        return self.operator.apply(rho)
-
     # Forward values are shared between value and gradient in solver loops.
     def _forward_arr(self, rho: np.ndarray) -> np.ndarray:
         return self.operator._apply_arr(rho)

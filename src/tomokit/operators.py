@@ -1,8 +1,10 @@
 """Forward measurement operators as collections of Hermitian effect matrices.
 
 An operator maps a Hermitian matrix rho to the real array of outcome values
-tr(rho E[m, k]) over M settings and K outcomes per setting. Effects are
-precomputed at construction so that apply/adjoint are single mat-vec calls.
+tr(rho E[m, k]) over M settings and K outcomes per setting. At construction
+the effects are packed into one real (M*K, N*N) design matrix, whose rows
+are their coordinates on an orthonormal basis of Herm(N); apply, adjoint and
+the least-squares preimage are all products with that matrix.
 """
 
 from __future__ import annotations
@@ -11,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (
-    HERMITIAN_ATOL,
-    HermitianMatrix,
-    entries_of,
-    hermitian_basis,
-)
+from .hermitian import HERMITIAN_ATOL, HermitianMatrix, entries_of
 
-APPLY_IMAG_TOL = 1e-12
 DATA_NEG_TOL = 1e-12
 
 
@@ -36,6 +32,8 @@ class MeasurementData:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"data must be a 2-D array, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("data has non-finite entries")
         low = float(arr.min())
         if low < -DATA_NEG_TOL:
             raise ValueError(f"data has negative entry {low:.3e}")
@@ -63,46 +61,62 @@ def _data_values(data) -> np.ndarray:
 
 
 class MeasurementOperator:
-    """Linear map Herm(N) -> R^(M x K) stored as an (M, K, N, N) effect array."""
+    """Linear map Herm(N) -> R^(M x K) given by an (M, K, N, N) effect array.
+
+    Row m*K + k of the design matrix is E[m, k] packed by `_pack`, so
+    tr(rho E[m, k]) is the dot product of that row with the packed rho.
+    """
 
     def __init__(self, effects):
         effects = np.array(effects, dtype=np.complex128)
         if effects.ndim != 4 or effects.shape[2] != effects.shape[3]:
             raise ValueError(f"effects must have shape (M, K, N, N), got {effects.shape}")
         deviation = float(np.abs(effects - effects.conj().swapaxes(-1, -2)).max())
-        if deviation > HERMITIAN_ATOL:
+        if not deviation <= HERMITIAN_ATOL:
             raise ValueError(f"effects are not Hermitian: max |E - E*| = {deviation:.3e}")
         effects.setflags(write=False)
         self.effects = effects
         self.rows, self.cols, self.dim = effects.shape[0], effects.shape[1], effects.shape[2]
-        # Row a = m*K + k holds E[m, k] flattened; tr(rho E) = design @ vec(rho^T).
-        self._design = effects.reshape(self.rows * self.cols, self.dim * self.dim)
-        self._pinv_design = None
+        N = self.dim
+        diagonal = np.arange(N) * (N + 1)
+        upper = np.flatnonzero(np.triu(np.ones((N, N), dtype=bool), 1))
+        # Offsets into the interleaved (re, im) floats of a flattened N x N array.
+        self._offsets = np.concatenate([2 * diagonal, 2 * upper, 2 * upper + 1])
+        self._scale = np.concatenate([np.ones(N), np.full(2 * upper.size, np.sqrt(2.0))])
+        # Halved diagonal: unpacking adds the upper triangle to its conjugate transpose.
+        self._unscale = np.concatenate([np.full(N, 0.5), np.full(2 * upper.size, np.sqrt(0.5))])
+        flat = effects.reshape(self.rows * self.cols, N * N).view(np.float64)
+        self._packed_effects = flat[:, self._offsets] * self._scale
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def effect(self, m: int, k: int) -> HermitianMatrix:
-        return HermitianMatrix(self.effects[m, k])
+    def _pack(self, H: np.ndarray) -> np.ndarray:
+        """Coordinates of a Hermitian array on the orthonormal basis of Herm(N)
+        under <A, B> = tr(AB): the diagonal, then sqrt(2) Re and sqrt(2) Im of
+        the strict upper triangle (the lower triangle is not read)."""
+        return H.ravel().view(np.float64)[self._offsets] * self._scale
+
+    def _unpack(self, v: np.ndarray) -> np.ndarray:
+        """The exactly Hermitian array with basis coordinates v."""
+        half = np.zeros(2 * self.dim * self.dim)
+        half[self._offsets] = v * self._unscale
+        half = half.view(np.complex128).reshape(self.dim, self.dim)
+        return half + half.conj().T
 
     def _apply_arr(self, rho: np.ndarray) -> np.ndarray:
-        out = self._design @ rho.T.ravel()
-        residue = float(np.abs(out.imag).max())
-        if residue > APPLY_IMAG_TOL:
-            raise ArithmeticError(f"imaginary residue {residue:.3e} in forward values")
-        return out.real.reshape(self.rows, self.cols)
+        return (self._packed_effects @ self._pack(rho)).reshape(self.rows, self.cols)
 
     def apply(self, rho) -> np.ndarray:
-        """Outcome array with entry (m, k) = tr(rho E[m, k])."""
+        """Outcome array with entry (m, k) = tr(rho E[m, k]) for Hermitian rho."""
         arr = entries_of(rho)
         if arr.shape != (self.dim, self.dim):
             raise ValueError(f"state shape {arr.shape} does not match dim {self.dim}")
         return self._apply_arr(arr)
 
     def _adjoint_arr(self, z: np.ndarray) -> np.ndarray:
-        out = (self._design.T @ z.ravel().astype(np.complex128)).reshape(self.dim, self.dim)
-        return 0.5 * (out + out.conj().T)
+        return self._unpack(self._packed_effects.T @ z.ravel())
 
     def adjoint(self, z) -> HermitianMatrix:
         """Weighted effect sum: adjoint(z) = sum_{m,k} z[m,k] E[m,k]."""
@@ -111,33 +125,21 @@ class MeasurementOperator:
             raise ValueError(f"weight shape {arr.shape} does not match {(self.rows, self.cols)}")
         return HermitianMatrix(self._adjoint_arr(arr))
 
-    def _real_design(self) -> np.ndarray:
-        if self._pinv_design is None:
-            basis = hermitian_basis(self.dim)
-            columns = [
-                (self._design @ b.T.ravel()).real for b in basis
-            ]
-            design = np.column_stack(columns)
-            if np.linalg.matrix_rank(design) < self.dim * self.dim:
-                raise RankDeficiencyError(
-                    f"effects span only a proper subspace of Herm({self.dim})"
-                )
-            self._pinv_design = design
-        return self._pinv_design
-
     def pseudo_inverse_apply(self, y) -> HermitianMatrix:
         """Least-squares Hermitian preimage of an outcome array.
 
-        Solves min_H ||apply(H) - y||_2 over Herm(N) via the real design matrix
-        on an orthonormal basis; requires the effects to span Herm(N).
+        Solves min_H ||apply(H) - y||_2 over Herm(N) with the design matrix;
+        requires the effects to span Herm(N).
         """
         values = _data_values(y)
         if values.shape != (self.rows, self.cols):
             raise ValueError(f"data shape {values.shape} does not match {(self.rows, self.cols)}")
-        design = self._real_design()
-        coef, *_ = np.linalg.lstsq(design, values.ravel(), rcond=None)
-        out = np.tensordot(coef, hermitian_basis(self.dim), axes=1)
-        return HermitianMatrix(0.5 * (out + out.conj().T))
+        coef, _residual, rank, _sv = np.linalg.lstsq(
+            self._packed_effects, values.ravel(), rcond=None
+        )
+        if rank < self.dim * self.dim:
+            raise RankDeficiencyError(f"effects span only a proper subspace of Herm({self.dim})")
+        return HermitianMatrix(self._unpack(coef))
 
 
 def pauli_six_state() -> MeasurementOperator:

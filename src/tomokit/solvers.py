@@ -43,7 +43,7 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Shrink-only step-size control for the multiplicative iterations.
+    """Backtracking control of the line-searched iterations: eps only shrinks within a step.
 
     initial_eps of None resolves to 1 / (||grad F(rho0)||_F + 1) at solve time.
     """
@@ -101,10 +101,10 @@ class FactorState:
         if arr.shape[1] > arr.shape[0]:
             raise ValueError(f"rank {arr.shape[1]} exceeds dimension {arr.shape[0]}")
         c = float(self.trace_target)
-        if not c > 0:
-            raise ValueError(f"trace_target must be positive, got {c}")
+        if not 0 < c < math.inf:
+            raise ValueError(f"trace_target must be positive and finite, got {c}")
         norm_sq = float(np.linalg.norm(arr) ** 2)
-        if abs(norm_sq - c) > 1e-9 * c:
+        if not abs(norm_sq - c) <= 1e-9 * c:
             raise ValueError(f"||X||_F^2 = {norm_sq!r} deviates from trace target {c!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "X", arr)
@@ -231,6 +231,18 @@ def _psd_hygiene(arr: np.ndarray, c: float) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def _keep_eps(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
+    return eps
+
+
+def _barzilai_borwein(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
+    """Spectral step |d_rho|^2 / <d_rho, d_g>, clamped; doubles eps without curvature."""
+    curvature = float(np.vdot(d_rho, d_g).real)
+    if curvature > 0.0:
+        return min(max(float(np.vdot(d_rho, d_rho).real) / curvature, 1e-12), 1e12)
+    return eps * 2.0
+
+
 def _line_searched_solve(
     state: np.ndarray,
     obj: Objective,
@@ -241,13 +253,16 @@ def _line_searched_solve(
     density_of,
     step_fn,
     wrap,
+    next_eps,
 ):
-    """Shared shrink-only descent loop for the full and factorized iterations.
+    """Shared backtracking descent loop for every line-searched iteration.
 
     `density_of` maps the raw state to its density array, `step_fn(state, g,
     eps)` produces a trial state, `wrap` builds the public value for kept
-    iterates. Raised StepSizeError/DegenerateStateError counts as a failed
-    trial and shrinks eps.
+    iterates, and `next_eps(eps, d_rho, d_g)` sets the first trial eps of the
+    next step from the accepted eps and the last density and gradient changes.
+    Raised StepSizeError/DegenerateStateError counts as a failed trial and
+    shrinks eps.
     """
     rho = density_of(state)
     p = obj._forward_arr(rho)
@@ -280,7 +295,8 @@ def _line_searched_solve(
             trace.stop_reason = EPS_EXHAUSTED
             break
 
-        residual = _trace_norm_arr(rho_cand - rho)
+        d_rho = rho_cand - rho
+        residual = _trace_norm_arr(d_rho)
         state, rho, f = accepted, rho_cand, f_cand
         trace.objective_values.append(f)
         trace.eps_values.append(eps)
@@ -291,7 +307,9 @@ def _line_searched_solve(
         if residual < tol:
             trace.stop_reason = CONVERGED
             break
-        g = obj._gradient_from(p_cand)
+        g_new = obj._gradient_from(p_cand)
+        eps = next_eps(eps, d_rho, g_new - g)
+        g = g_new
     else:
         trace.stop_reason = MAX_ITER
 
@@ -325,6 +343,7 @@ def gm_solve(
         density_of=lambda arr: arr,
         step_fn=lambda arr, g, eps: _psd_hygiene(_gm_step_arr(arr, g, eps, c), c),
         wrap=lambda arr: DensityLike.from_array(arr, c),
+        next_eps=_keep_eps,
     )
     return DensityLike.from_array(final, c), trace
 
@@ -354,6 +373,7 @@ def fgd_solve(
         density_of=_outer,
         step_fn=lambda X, g, eps: _fgd_apply_arr(X, g, eps, c),
         wrap=lambda X: FactorState(X, c),
+        next_eps=_keep_eps,
     )
     return FactorState(final, c), trace
 
@@ -409,39 +429,18 @@ def pgd_solve(
     optimality residual.
     """
     c = rho0.trace_target
-    rho = np.array(rho0.entries)
-    p = obj._forward_arr(rho)
-    f = obj._value_from(p)
-    g = obj._gradient_from(p)
-    if step is None:
-        step = 1.0 / (float(np.linalg.norm(g)) + 1.0)
-
-    for _ in range(max_iter):
-        s = step
-        stalled = False
-        while True:
-            candidate = _project_density_arr(rho - s * g, c)
-            p_cand = obj._forward_arr(candidate)
-            f_cand = obj._value_from(p_cand)
-            if f_cand <= f + DESCENT_SLACK:
-                break
-            s *= 0.5
-            if s < 1e-18:
-                stalled = True
-                break
-        if stalled:
-            break
-        displacement = candidate - rho
-        residual = _trace_norm_arr(displacement)
-        g_new = obj._gradient_from(p_cand)
-        gradient_change = g_new - g
-        rho, f, g = candidate, f_cand, g_new
-        if residual < tol:
-            break
-        curvature = float(np.vdot(displacement, gradient_change).real)
-        if curvature > 0.0:
-            step = min(max(float(np.vdot(displacement, displacement).real) / curvature, 1e-12), 1e12)
-        else:
-            step = s * 2.0
-
-    return DensityLike.from_array(rho, c)
+    # Backtracking ends at min_eps, not by count: no finite eps survives 2000 halvings.
+    policy = StepPolicy(initial_eps=step, shrink=0.5, min_eps=1e-18, max_halvings_per_step=2000)
+    final, _trace = _line_searched_solve(
+        np.array(rho0.entries),
+        obj,
+        policy,
+        max_iter,
+        tol,
+        False,
+        density_of=lambda arr: arr,
+        step_fn=lambda arr, g, s: _project_density_arr(arr - s * g, c),
+        wrap=None,
+        next_eps=_barzilai_borwein,
+    )
+    return DensityLike.from_array(final, c)

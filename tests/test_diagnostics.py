@@ -10,13 +10,11 @@ from tomokit.diagnostics import (
     construct_spurious_t2,
     m_set_residual,
     mu_exclusion,
-    spurious_via_rank,
     subgradient_membership,
     validity_certificate,
 )
 from tomokit.hermitian import DensityLike, HermitianMatrix, random_density, trace_norm
 from tomokit.objectives import Objective
-from tomokit.operators import MeasurementData
 from tomokit.solvers import gm_step, mle_step, pgd_solve
 
 from conftest import conditioned_full_rank, maximally_mixed
@@ -216,29 +214,6 @@ class TestConstructSpurious:
             g = obj.gradient(rho_fix)
             for eps in (0.1, 0.5):
                 assert trace_norm(gm_step(rho_fix, g, eps).entries - rho_fix.entries) < 1e-12
-
-
-class TestSpuriousViaRank:
-    def test_rank_starved_run_is_spurious(self, homodyne10):
-        obj_template = Objective(
-            homodyne10, MeasurementData(np.full(homodyne10.shape, 0.5)), kind="nll"
-        )
-        result, cert = spurious_via_rank(homodyne10, obj_template, true_rank=5, start_rank=1, seed=0)
-        assert cert.verdict == SPURIOUS
-        vals = np.linalg.eigvalsh(result.entries)
-        assert int((vals > 1e-10).sum()) <= 1
-        # trace distance is at least the discarded spectral mass of the truth
-        truth = random_density(10, 5, 0)
-        tvals = np.sort(np.linalg.eigvalsh(truth.entries))[::-1]
-        lower_bound = tvals[1:5].sum()
-        assert trace_norm(result.entries - truth.entries) >= lower_bound - 1e-9
-
-    def test_rank_precondition(self, t2):
-        obj = Objective(t2, MeasurementData(np.full((3, 2), 0.5)), kind="nll")
-        with pytest.raises(ValueError):
-            spurious_via_rank(t2, obj, true_rank=2, start_rank=2, seed=0)
-        with pytest.raises(ValueError):
-            spurious_via_rank(t2, obj, true_rank=1, start_rank=0, seed=0)
 
 
 class TestMuExclusion:

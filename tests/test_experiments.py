@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tomokit import experiments
 from tomokit.cli import main
 from tomokit.diagnostics import SPURIOUS, VALID, construct_spurious_t2
 from tomokit.experiments import (
@@ -18,10 +19,10 @@ from tomokit.experiments import (
     standard_homodyne_descriptor,
     validate_state,
 )
-from tomokit.hermitian import DensityLike, random_density, save_matrix
+from tomokit.hermitian import DensityLike, HermitianMatrix, load_matrix, random_density, save_matrix
 from tomokit.objectives import Objective
-from tomokit.operators import MeasurementData
-from tomokit.solvers import gm_solve, pgd_solve
+from tomokit.operators import MeasurementData, MeasurementOperator, pauli_six_state
+from tomokit.solvers import FactorState, fgd_solve, gm_solve, pgd_solve
 
 from conftest import maximally_mixed
 
@@ -187,9 +188,17 @@ class TestReconstruct:
 
 
 class TestRankTrap:
-    def test_small_protocol(self, small_descriptor, tmp_path):
+    def test_small_protocol(self, small_descriptor, tmp_path, monkeypatch):
         # rank starvation (r=1 < 2) must trap; over-parametrized starts must
         # pass the kernel-restricted eigenvalue test
+        limits = []
+
+        def recording_fgd_solve(*args, **kwargs):
+            state, trace = fgd_solve(*args, **kwargs)
+            limits.append(state.density())
+            return state, trace
+
+        monkeypatch.setattr(experiments, "fgd_solve", recording_fgd_solve)
         config = {
             "operator": small_descriptor,
             "true_rank": 2,
@@ -205,6 +214,14 @@ class TestRankTrap:
         assert by_rank[1]["median_trace_distance"] > 10 * by_rank[3]["median_trace_distance"]
         assert by_rank[1]["spurious_fraction"] == 1.0
         assert by_rank[3]["median_min_eig_Q_restricted"] > -1e-4
+        for rec, limit in zip(records, limits):
+            start_rank = int(rec.solver_id.rsplit("-r", 1)[1])
+            vals = np.linalg.eigvalsh(limit.entries)
+            assert int((vals > 1e-10).sum()) <= start_rank
+            # the distance is at least the truth's spectral mass beyond the start rank
+            truth = random_density(4, 2, rec.truth["seed"])
+            discarded = np.sort(np.linalg.eigvalsh(truth.entries))[::-1][start_rank:].sum()
+            assert rec.trace_distance_to_truth >= discarded - 1e-9
         text = (tmp_path / "summary.csv").read_text().splitlines()
         assert text[0].startswith("start_rank,")
         assert len(text) == 3
@@ -334,3 +351,57 @@ class TestTraceCsv:
         assert len(lines) == len(trace.residuals) + 2
         first = lines[1].split(",")
         assert first[0] == "0"
+
+
+def _write_data_csv(path, value):
+    np.savetxt(path, np.array([[value, 0.5], [0.5, 0.5], [0.5, 0.5]]), delimiter=",")
+
+
+def _load_bad_csv(tmp_path, value):
+    _write_data_csv(tmp_path / "d.csv", value)
+    MeasurementData.load_csv(tmp_path / "d.csv")
+
+
+def _load_bad_matrix(tmp_path, value):
+    save_matrix(tmp_path / "m.json", np.diag([value, 0.5]))
+    load_matrix(tmp_path / "m.json")
+
+
+def _bad_effects(value):
+    effects = np.array(pauli_six_state().effects)
+    effects[1, 0, 0, 0] = value
+    return MeasurementOperator(effects)
+
+
+NON_FINITE_ENTRY_POINTS = {
+    "MeasurementData": lambda tmp, v: MeasurementData(np.array([[v, 0.5]])),
+    "HermitianMatrix": lambda tmp, v: HermitianMatrix(np.diag([v, 0.5])),
+    "HermitianMatrix_offdiagonal": lambda tmp, v: HermitianMatrix(np.array([[0.5, v], [v, 0.5]])),
+    "DensityLike": lambda tmp, v: DensityLike.from_array(np.diag([v, 0.5])),
+    "DensityLike_trace_target": lambda tmp, v: DensityLike.from_array(np.eye(2) / 2, v),
+    "MeasurementOperator": lambda tmp, v: _bad_effects(v),
+    "FactorState": lambda tmp, v: FactorState(np.array([[v], [0.0]])),
+    "FactorState_trace_target": lambda tmp, v: FactorState(np.array([[1.0], [0.0]]), v),
+    "load_csv": _load_bad_csv,
+    "load_matrix": _load_bad_matrix,
+}
+
+
+# inf - inf in the Hermitian checks warns before the check raises
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
+def test_non_finite_input_rejected(entry, value, tmp_path):
+    with pytest.raises(ValueError):
+        NON_FINITE_ENTRY_POINTS[entry](tmp_path, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_cli_rejects_non_finite_data(value, tmp_path, capsys):
+    state, config, data = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "d.csv"
+    save_matrix(state, np.eye(2) / 2)
+    config.write_text(json.dumps({"operator": {"kind": "pauli6"}, "fit": "nll"}))
+    _write_data_csv(data, value)
+    argv = ["validate", "--state", str(state), "--config", str(config), "--data", str(data)]
+    assert main(argv) == 1
+    assert "non-finite" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from tomokit.hermitian import (
     random_density,
     random_hermitian,
     save_matrix,
-    spectral_decompose,
     trace_norm,
 )
 
@@ -59,34 +58,6 @@ class TestDensityLike:
     def test_trace_target_scaling(self):
         rho = DensityLike.from_array(np.diag([1.2, 0.8]), trace_target=2.0)
         assert rho.trace_target == 2.0
-
-
-class TestSpectralDecompose:
-    def test_identity(self):
-        dec = spectral_decompose(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-
-    def test_diagonal_sorted_ascending(self):
-        dec = spectral_decompose(np.diag([3.0, -1.0]))
-        assert np.allclose(dec.eigenvalues, [-1.0, 3.0])
-
-    def test_analytic_rank_one_state(self):
-        # characteristic polynomial of RHO_FIX is lambda^2 - lambda
-        dec = spectral_decompose(RHO_FIX)
-        assert np.allclose(dec.eigenvalues, [0.0, 1.0], atol=1e-14)
-
-    def test_reconstruction_and_unitarity_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            N = int(rng.integers(1, 17))
-            H = random_hermitian(N, int(rng.integers(1 << 31)))
-            dec = spectral_decompose(H)
-            V, lam = dec.eigenvectors, dec.eigenvalues
-            recon = (V * lam) @ V.conj().T
-            scale = max(1.0, np.linalg.norm(H.entries))
-            assert np.linalg.norm(recon - H.entries) / scale < 1e-10
-            assert np.linalg.norm(V.conj().T @ V - np.eye(N)) < 1e-10
-            assert np.all(np.diff(lam) >= 0)
 
 
 class TestTraceNorm:

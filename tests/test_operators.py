@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomokit.hermitian import DensityLike, random_density
+from tomokit.hermitian import DensityLike, random_density, random_hermitian
 from tomokit.operators import (
     MeasurementData,
     MeasurementOperator,
@@ -104,12 +104,36 @@ class TestApplyAdjointContracts:
             MeasurementOperator(bad)
 
 
+class TestDesignMatchesEffects:
+    """apply/adjoint through the packed design against sums over the raw effects."""
+
+    @staticmethod
+    def random_effect_operator():
+        rng = np.random.default_rng(17)
+        G = rng.standard_normal((4, 3, 3, 3)) + 1j * rng.standard_normal((4, 3, 3, 3))
+        return MeasurementOperator(G + G.conj().swapaxes(-1, -2))
+
+    def test_apply_and_adjoint_match_effect_sums(self, t2, homodyne_small, homodyne10):
+        rng = np.random.default_rng(5)
+        for op in (t2, homodyne_small, homodyne10, self.random_effect_operator()):
+            for seed in range(5):
+                rho = random_hermitian(op.dim, seed).entries
+                z = rng.standard_normal(op.shape)
+                forward = np.einsum("mkij,ji->mk", op.effects, rho).real
+                backward = np.einsum("mk,mkij->ij", z, op.effects)
+                got_forward = op.apply(rho)
+                got_backward = op.adjoint(z).entries
+                assert np.abs(got_forward - forward).max() <= 1e-12 * np.abs(forward).max()
+                assert np.abs(got_backward - backward).max() <= 1e-12 * np.abs(backward).max()
+
+
 class TestPseudoInverse:
-    def test_round_trip_random_states(self, t2):
-        for seed in range(5):
-            rho = random_density(2, 2, seed)
-            back = t2.pseudo_inverse_apply(t2.apply(rho))
-            assert np.linalg.norm(back.entries - rho.entries) < 1e-12
+    def test_round_trip_random_states(self, t2, homodyne_small):
+        for op in (t2, homodyne_small):
+            for seed in range(5):
+                rho = random_density(op.dim, op.dim, seed)
+                back = op.pseudo_inverse_apply(op.apply(rho))
+                assert np.linalg.norm(back.entries - rho.entries) < 1e-12
 
     def test_matches_closed_form_family(self, t2):
         for t in (0.1, 0.5, 8.0 / 11.0):
