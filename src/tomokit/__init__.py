@@ -47,7 +47,6 @@ from .solvers import (
     FactorState,
     SolverTrace,
     StepPolicy,
-    StepSizeError,
     factorized_mle_step,
     fgd_solve,
     fgd_step,

@@ -1,7 +1,7 @@
 """Experiment orchestration: synthetic datasets, reconstruction runs, summaries.
 
 Every random draw is derived from (master seed, instance key), so datasets
-and run tables are reproducible no matter how instances are scheduled.
+and run tables are reproducible.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -193,45 +193,38 @@ def generate_dataset(spec: ExperimentSpec) -> dict:
     out = Path(spec.output_dir)
     operator = operator_from_descriptor(spec.operator)
 
-    keys = [
-        (rank, idx)
-        for rank in spec.ranks
-        for idx in range(spec.count_per_rank)
-    ]
+    instances = []
+    for rank in spec.ranks:
+        for idx in range(spec.count_per_rank):
+            iid = f"r{rank:02d}_i{idx:03d}"
+            inst_dir = out / "instances" / iid
+            inst_dir.mkdir(parents=True, exist_ok=True)
+            truth_seed = derive_seed(spec.seed, rank, idx, 0)
+            noise_seed = derive_seed(spec.seed, rank, idx, 1)
+            truth = random_density(spec.dim, rank, truth_seed)
+            save_matrix(inst_dir / "truth.json", truth.matrix)
+            exact = simulate_data(operator, truth, spec.noise_scale, 0, noisy=False)
+            exact.save_csv(inst_dir / "exact.csv")
+            files = {"truth": "truth.json", "exact": "exact.csv"}
+            if spec.noise_enabled:
+                noisy = simulate_data(operator, truth, spec.noise_scale, noise_seed, noisy=True)
+                noisy.save_csv(inst_dir / "noisy.csv")
+                files["noisy"] = "noisy.csv"
+            instances.append({
+                "id": iid,
+                "rank": rank,
+                "index": idx,
+                "truth_seed": truth_seed,
+                "noise_seed": noise_seed if spec.noise_enabled else None,
+                "files": {
+                    name: {
+                        "path": f"instances/{iid}/{fname}",
+                        "sha256": _sha256(inst_dir / fname),
+                    }
+                    for name, fname in files.items()
+                },
+            })
 
-    def build(key):
-        rank, idx = key
-        iid = f"r{rank:02d}_i{idx:03d}"
-        inst_dir = out / "instances" / iid
-        inst_dir.mkdir(parents=True, exist_ok=True)
-        truth_seed = derive_seed(spec.seed, rank, idx, 0)
-        noise_seed = derive_seed(spec.seed, rank, idx, 1)
-        truth = random_density(spec.dim, rank, truth_seed)
-        save_matrix(inst_dir / "truth.json", truth.matrix)
-        exact = simulate_data(operator, truth, spec.noise_scale, 0, noisy=False)
-        exact.save_csv(inst_dir / "exact.csv")
-        files = {"truth": "truth.json", "exact": "exact.csv"}
-        if spec.noise_enabled:
-            noisy = simulate_data(operator, truth, spec.noise_scale, noise_seed, noisy=True)
-            noisy.save_csv(inst_dir / "noisy.csv")
-            files["noisy"] = "noisy.csv"
-        entry = {
-            "id": iid,
-            "rank": rank,
-            "index": idx,
-            "truth_seed": truth_seed,
-            "noise_seed": noise_seed if spec.noise_enabled else None,
-            "files": {
-                name: {
-                    "path": f"instances/{iid}/{fname}",
-                    "sha256": _sha256(inst_dir / fname),
-                }
-                for name, fname in files.items()
-            },
-        }
-        return entry
-
-    instances = [build(key) for key in keys]
     manifest = {"config": spec.config_dict(), "instances": instances}
     _write_json(out / "manifest.json", manifest)
     return manifest
@@ -257,42 +250,18 @@ class RunRecord:
     wall_time: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "truth": self.truth,
-            "solver_id": self.solver_id,
-            "data_variant": self.data_variant,
-            "trace_distance_to_truth": self.trace_distance_to_truth,
-            "trace_distance_to_oracle": self.trace_distance_to_oracle,
-            "final_objective": self.final_objective,
-            "certificate": self.certificate.to_json_dict(),
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "floor_triggered": self.floor_triggered,
-            "wall_time": self.wall_time,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["certificate"] = self.certificate.to_json_dict()
+        return payload
 
     def csv_row(self) -> list:
-        cert = self.certificate
-        return [
-            self.instance_id,
-            self.solver_id,
-            self.data_variant,
-            self.truth.get("rank"),
-            self.truth.get("seed"),
-            repr(self.trace_distance_to_truth),
-            repr(self.trace_distance_to_oracle),
-            repr(self.final_objective),
-            self.iterations,
-            self.stop_reason,
-            repr(cert.lam),
-            repr(cert.min_eig_Q),
-            repr(cert.min_eig_Q_restricted),
-            repr(cert.m_residual),
-            cert.verdict,
-            int(self.floor_triggered),
-            repr(self.wall_time),
-        ]
+        """RECORD_CSV_COLUMNS picked from the flattened JSON record; str of a float is its repr."""
+        flat = self.to_json_dict()
+        flat.update(flat.pop("certificate"))
+        flat["truth_rank"] = self.truth.get("rank")
+        flat["truth_seed"] = self.truth.get("seed")
+        flat["floor_triggered"] = int(self.floor_triggered)
+        return [flat[column] for column in RECORD_CSV_COLUMNS]
 
 
 def records_to_csv(records: list[RunRecord], path) -> None:
@@ -404,13 +373,12 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
         raise ValueError("no solver configurations given")
     oracle_cfg = run_config.get("oracle", {})
 
-    def process(item):
-        index, entry = item
+    records = []
+    for index, entry in enumerate(manifest["instances"]):
         truth = DensityLike(load_matrix(dataset / entry["files"]["truth"]["path"]))
         truth_desc = {"rank": entry["rank"], "seed": entry["truth_seed"]}
         data_cache: dict[str, MeasurementData] = {}
         oracle_cache: dict[tuple[str, str], DensityLike] = {}
-        rows = []
         for cfg in solver_cfgs:
             variant = cfg.get("data", "noisy" if "noisy" in entry["files"] else "exact")
             if variant not in entry["files"]:
@@ -442,16 +410,13 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
                     final.entries - oracle_cache[key].entries
                 )
 
-            rows.append(
+            records.append(
                 _run_record(
                     entry["id"], truth, truth_desc, solver_id_of(cfg), variant,
                     final, trace, obj, wall, oracle_distance,
                 )
             )
-        return rows
 
-    nested = [process(item) for item in enumerate(manifest["instances"])]
-    records = [row for rows in nested for row in rows]
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -489,32 +454,29 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     max_iter = int(solver_cfg.get("max_iter", 20000))
     seed = int(config.get("seed", 0))
 
-    def process(t_idx: int) -> list[RunRecord]:
+    records = []
+    by_start_rank: dict[int, list[RunRecord]] = {r: [] for r in start_ranks}
+    for t_idx in range(count):
         truth_seed = derive_seed(seed, true_rank, t_idx, 0)
         truth = random_density(N, true_rank, truth_seed)
         data = simulate_data(operator, truth, 500.0, 0, noisy=False)
         obj = Objective(operator, data, kind=fit)
-        rows = []
         for r in start_ranks:
             init_seed = derive_seed(seed, true_rank, t_idx, 2, r)
             state0 = FactorState.from_density(random_density(N, r, init_seed), r)
             start = time.perf_counter()
             state, trace = fgd_solve(state0, obj, StepPolicy(), max_iter=max_iter, tol=tol)
             wall = time.perf_counter() - start
-            rows.append(
-                _run_record(
-                    f"t{t_idx:03d}", truth, {"rank": true_rank, "seed": truth_seed},
-                    f"fgd-{fit}-r{r}", "exact", state.density(), trace, obj, wall,
-                )
+            record = _run_record(
+                f"t{t_idx:03d}", truth, {"rank": true_rank, "seed": truth_seed},
+                f"fgd-{fit}-r{r}", "exact", state.density(), trace, obj, wall,
             )
-        return rows
-
-    nested = [process(t_idx) for t_idx in range(count)]
-    records = [row for rows in nested for row in rows]
+            records.append(record)
+            by_start_rank[r].append(record)
 
     summary = []
     for r in start_ranks:
-        rows = [rec for rec in records if rec.solver_id.endswith(f"-r{r}")]
+        rows = by_start_rank[r]
         dists = [rec.trace_distance_to_truth for rec in rows]
         eigs = [rec.certificate.min_eig_Q_restricted for rec in rows]
         spurious = sum(rec.certificate.verdict == SPURIOUS for rec in rows)

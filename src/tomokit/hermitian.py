@@ -42,9 +42,10 @@ class HermitianMatrix:
 
     def __post_init__(self):
         arr = _as_square_complex(self.entries)
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has non-finite entries")
         deviation = float(np.abs(arr - arr.conj().T).max())
-        # Negated so that NaN (from any non-finite entry) fails too.
-        if not deviation <= HERMITIAN_ATOL:
+        if deviation > HERMITIAN_ATOL:
             raise ValueError(
                 f"matrix is not Hermitian: max elementwise |A - A*| = {deviation:.3e}"
             )

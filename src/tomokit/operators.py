@@ -71,8 +71,10 @@ class MeasurementOperator:
         effects = np.array(effects, dtype=np.complex128)
         if effects.ndim != 4 or effects.shape[2] != effects.shape[3]:
             raise ValueError(f"effects must have shape (M, K, N, N), got {effects.shape}")
+        if not np.isfinite(effects).all():
+            raise ValueError("effects have non-finite entries")
         deviation = float(np.abs(effects - effects.conj().swapaxes(-1, -2)).max())
-        if not deviation <= HERMITIAN_ATOL:
+        if deviation > HERMITIAN_ATOL:
             raise ValueError(f"effects are not Hermitian: max |E - E*| = {deviation:.3e}")
         effects.setflags(write=False)
         self.effects = effects

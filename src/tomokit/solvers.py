@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .hermitian import DensityLike, _project_density_arr, entries_of
+from .hermitian import DensityLike, _project_density_arr, entries_of, trace_norm
 from .objectives import NEG_LOG_LIKELIHOOD, Objective
 
 CONVERGED = "converged"
@@ -37,33 +38,26 @@ class DegenerateStateError(RuntimeError):
     """An update annihilated the state (zero trace or zero factor)."""
 
 
-class StepSizeError(RuntimeError):
-    """The multiplicative step produced a vanishing normalizer; shrink eps."""
-
-
 @dataclass(frozen=True)
 class StepPolicy:
     """Backtracking control of the line-searched iterations: eps only shrinks within a step.
 
+    Each rejected trial halves eps; a step fails once eps falls below min_eps.
     initial_eps of None resolves to 1 / (||grad F(rho0)||_F + 1) at solve time.
     """
 
     initial_eps: float | None = None
-    shrink: float = 0.5
     min_eps: float = 1e-14
-    max_halvings_per_step: int = 60
+    shrink: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink must lie in (0, 1), got {self.shrink}")
         if not self.min_eps > 0:
             raise ValueError(f"min_eps must be positive, got {self.min_eps}")
-        if self.initial_eps is not None and not self.min_eps < self.initial_eps:
+        # A finite initial_eps keeps the backtracking finite: halving inf never reaches min_eps.
+        if self.initial_eps is not None and not self.min_eps < self.initial_eps < math.inf:
             raise ValueError(
-                f"min_eps {self.min_eps} must be below initial_eps {self.initial_eps}"
+                f"initial_eps {self.initial_eps} must be finite and above min_eps {self.min_eps}"
             )
-        if self.max_halvings_per_step < 0:
-            raise ValueError("max_halvings_per_step must be nonnegative")
 
     def resolve_initial(self, gradient_norm: float) -> float:
         if self.initial_eps is not None:
@@ -79,7 +73,6 @@ class SolverTrace:
     eps_values: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     stop_reason: str = MAX_ITER
-    fixed_point_residual: float = math.inf
     iterates_kept: list | None = None
 
     @property
@@ -119,8 +112,7 @@ class FactorState:
         return self.X.shape[1]
 
     def density(self) -> DensityLike:
-        rho = self.X @ self.X.conj().T
-        return DensityLike.from_array(0.5 * (rho + rho.conj().T), self.trace_target)
+        return DensityLike.from_array(_outer(self.X), self.trace_target)
 
     @classmethod
     def from_density(cls, rho: DensityLike, rank: int) -> "FactorState":
@@ -145,9 +137,8 @@ def _sandwich(A: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _mle_step_arr(rho: np.ndarray, obj: Objective, c: float) -> np.ndarray:
-    p = obj.operator._apply_arr(rho)
-    R = obj.operator._adjoint_arr(obj.data.values / np.maximum(p, obj.floor))
-    S = _sandwich(R, rho)
+    # The nll reweighting operator R is -grad F; the sandwich is even in it.
+    S = _sandwich(obj._gradient_arr(rho), rho)
     t = float(S.trace().real)
     if t < _TRACE_FLOOR:
         raise DegenerateStateError(f"sandwich trace {t!r} vanished")
@@ -168,7 +159,7 @@ def _gm_step_arr(rho: np.ndarray, g: np.ndarray, eps: float, c: float) -> np.nda
     S = _sandwich(A, rho)
     t = float(S.trace().real)
     if t < _TRACE_FLOOR:
-        raise StepSizeError(f"step normalizer {t!r} vanished at eps={eps!r}")
+        raise DegenerateStateError(f"step normalizer {t!r} vanished at eps={eps!r}")
     return (c / t) * S
 
 
@@ -205,9 +196,8 @@ def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the factorized likelihood step requires the nll objective")
     X = state.X
-    p = obj.operator._apply_arr(_outer(X))
-    R = obj.operator._adjoint_arr(obj.data.values / np.maximum(p, obj.floor))
-    nxt = R @ X
+    # R = -grad F, negated before the product so that signed zeros match R @ X.
+    nxt = (-obj._gradient_arr(_outer(X))) @ X
     norm = np.linalg.norm(nxt)
     if norm < math.sqrt(_TRACE_FLOOR):
         raise DegenerateStateError("factor annihilated by the reweighting operator")
@@ -215,10 +205,6 @@ def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
 
 
 # --- full solves -------------------------------------------------------------
-
-def _trace_norm_arr(arr: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(arr)).sum())
-
 
 def _psd_hygiene(arr: np.ndarray, c: float) -> np.ndarray:
     """Zero out near-kernel eigenvalues of a full-matrix iterate."""
@@ -261,8 +247,7 @@ def _line_searched_solve(
     eps)` produces a trial state, `wrap` builds the public value for kept
     iterates, and `next_eps(eps, d_rho, d_g)` sets the first trial eps of the
     next step from the accepted eps and the last density and gradient changes.
-    Raised StepSizeError/DegenerateStateError counts as a failed trial and
-    shrinks eps.
+    A raised DegenerateStateError counts as a failed trial and shrinks eps.
     """
     rho = density_of(state)
     p = obj._forward_arr(rho)
@@ -275,33 +260,28 @@ def _line_searched_solve(
         trace.iterates_kept = [wrap(state)]
 
     for _ in range(max_iter):
-        accepted = None
-        for _halving in range(policy.max_halvings_per_step + 1):
+        while True:
             try:
                 candidate = step_fn(state, g, eps)
-            except (StepSizeError, DegenerateStateError):
+            except DegenerateStateError:
                 f_cand = math.inf
             else:
                 rho_cand = density_of(candidate)
                 p_cand = obj._forward_arr(rho_cand)
                 f_cand = obj._value_from(p_cand)
             if f_cand <= f + DESCENT_SLACK:
-                accepted = candidate
                 break
             eps *= policy.shrink
             if eps < policy.min_eps:
-                break
-        if accepted is None:
-            trace.stop_reason = EPS_EXHAUSTED
-            break
+                trace.stop_reason = EPS_EXHAUSTED
+                return state, trace
 
         d_rho = rho_cand - rho
-        residual = _trace_norm_arr(d_rho)
-        state, rho, f = accepted, rho_cand, f_cand
+        residual = trace_norm(d_rho)
+        state, rho, f = candidate, rho_cand, f_cand
         trace.objective_values.append(f)
         trace.eps_values.append(eps)
         trace.residuals.append(residual)
-        trace.fixed_point_residual = residual
         if keep_trace:
             trace.iterates_kept.append(wrap(state))
         if residual < tol:
@@ -396,12 +376,11 @@ def mle_solve(
 
     for _ in range(max_iter):
         nxt = _psd_hygiene(_mle_step_arr(rho, obj, c), c)
-        residual = _trace_norm_arr(nxt - rho)
+        residual = trace_norm(nxt - rho)
         rho = nxt
         trace.objective_values.append(obj._value_arr(rho))
         trace.eps_values.append(math.nan)
         trace.residuals.append(residual)
-        trace.fixed_point_residual = residual
         if keep_trace:
             trace.iterates_kept.append(DensityLike.from_array(rho, c))
         if residual < tol:
@@ -429,8 +408,7 @@ def pgd_solve(
     optimality residual.
     """
     c = rho0.trace_target
-    # Backtracking ends at min_eps, not by count: no finite eps survives 2000 halvings.
-    policy = StepPolicy(initial_eps=step, shrink=0.5, min_eps=1e-18, max_halvings_per_step=2000)
+    policy = StepPolicy(initial_eps=step, min_eps=1e-18)
     final, _trace = _line_searched_solve(
         np.array(rho0.entries),
         obj,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -8,6 +9,7 @@ from tomokit import experiments
 from tomokit.cli import main
 from tomokit.diagnostics import SPURIOUS, VALID, construct_spurious_t2
 from tomokit.experiments import (
+    RECORD_CSV_COLUMNS,
     ExperimentSpec,
     derive_seed,
     generate_dataset,
@@ -163,6 +165,26 @@ class TestReconstruct:
         assert len(csv_text) == 7
         payload = json.loads((tmp_path / "records.json").read_text())
         assert len(payload["records"]) == 6
+
+    def test_csv_rows_are_flattened_json_records(self, dataset, tmp_path):
+        reconstruct_dataset(dataset, self.run_config(), out_dir=tmp_path)
+        with open(tmp_path / "records.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == RECORD_CSV_COLUMNS
+            rows = list(reader)
+        payload = json.loads((tmp_path / "records.json").read_text())
+        assert len(rows) == len(payload["records"])
+        for row, record in zip(rows, payload["records"]):
+            flat = dict(record)
+            flat.update(flat.pop("certificate"))
+            truth = flat.pop("truth")
+            flat["truth_rank"], flat["truth_seed"] = truth["rank"], truth["seed"]
+            flat["floor_triggered"] = int(flat["floor_triggered"])
+            expected = {
+                key: repr(value) if isinstance(value, float) else str(value)
+                for key, value in flat.items()
+            }
+            assert row == expected
 
     def test_valid_verdicts_track_oracle(self, dataset, tmp_path):
         records = reconstruct_dataset(dataset, self.run_config(), out_dir=tmp_path)
@@ -387,8 +409,6 @@ NON_FINITE_ENTRY_POINTS = {
 }
 
 
-# inf - inf in the Hermitian checks warns before the check raises
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", sorted(NON_FINITE_ENTRY_POINTS))
 def test_non_finite_input_rejected(entry, value, tmp_path):

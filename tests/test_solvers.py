@@ -14,7 +14,6 @@ from tomokit.solvers import (
     DegenerateStateError,
     FactorState,
     StepPolicy,
-    StepSizeError,
     factorized_mle_step,
     fgd_solve,
     fgd_step,
@@ -37,13 +36,11 @@ def single_effect_operator():
 class TestStepPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
-            StepPolicy(shrink=1.0)
-        with pytest.raises(ValueError):
             StepPolicy(min_eps=0.0)
         with pytest.raises(ValueError):
             StepPolicy(initial_eps=1e-16, min_eps=1e-14)
         with pytest.raises(ValueError):
-            StepPolicy(max_halvings_per_step=-1)
+            StepPolicy(initial_eps=math.inf)
 
     def test_auto_initial(self):
         assert StepPolicy().resolve_initial(3.0) == pytest.approx(0.25)
@@ -123,7 +120,7 @@ class TestGmStep:
 
     def test_vanishing_normalizer(self):
         rho = DensityLike.from_array(np.diag([1.0, 0.0]))
-        with pytest.raises(StepSizeError):
+        with pytest.raises(DegenerateStateError):
             gm_step(rho, np.diag([1.0, 0.0]), eps=1.0)
 
     def test_stationary_at_solution_except_mu(self, t2):
@@ -197,7 +194,7 @@ class TestGmSolve:
                     g = obj.gradient(rho)
                     eps = policy.resolve_initial(float(np.linalg.norm(g.entries)))
                     found = False
-                    for _h in range(policy.max_halvings_per_step):
+                    while eps >= policy.min_eps:
                         if obj.value(gm_step(rho, g, eps)) < f:
                             found = True
                             break
@@ -214,6 +211,17 @@ class TestGmSolve:
             max_iter=50,
         )
         assert trace.stop_reason == EPS_EXHAUSTED
+
+    @pytest.mark.parametrize("solve", [gm_solve, fgd_solve])
+    def test_backtracking_runs_to_min_eps(self, solve):
+        # eps = 1e20 needs 68 halvings to reach a descent step; only
+        # min_eps may end the search, not a count of halvings
+        obj = Objective(single_effect_operator(), np.array([[0.1]]), kind="l2")
+        start = maximally_mixed(2)
+        if solve is fgd_solve:
+            start = FactorState.from_density(start, 2)
+        _, trace = solve(start, obj, StepPolicy(initial_eps=1e20), max_iter=50)
+        assert trace.stop_reason == CONVERGED
 
     def test_max_iter_stop(self, homodyne10):
         obj = Objective(homodyne10, homodyne10.apply(random_density(10, 10, 17)), kind="nll")
