@@ -363,7 +363,9 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
 
     Each record carries a validity certificate; noisy-data runs additionally
     record the trace distance to a projected-gradient reference solution
-    computed on the same data and fit.
+    computed on the same data and fit. That oracle stops once the trace norm
+    of its step falls below `tol` (default 1e-10), so `trace_distance_to_oracle`
+    values near 1e-9 lie within its stop tolerance, not solver disagreement.
     """
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))

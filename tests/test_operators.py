@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomokit.hermitian import DensityLike, random_density, random_hermitian
+from tomokit.hermitian import HERMITIAN_ATOL, DensityLike, random_density, random_hermitian
 from tomokit.operators import (
     MeasurementData,
     MeasurementOperator,
@@ -102,6 +102,20 @@ class TestApplyAdjointContracts:
         bad[0, 0] = [[0.0, 1.0], [0.0, 0.0]]
         with pytest.raises(ValueError, match="not Hermitian"):
             MeasurementOperator(bad)
+        rng = np.random.default_rng(23)
+        G = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
+        hermitian = G + G.conj().swapaxes(-1, -2)
+        # Lower triangle only, upper triangle only, imaginary part of a diagonal entry.
+        for index, delta in (((0, 1, 2, 0), 1.0), ((1, 0, 0, 2), 1.0), ((1, 1, 1, 1), 1j)):
+            bad = hermitian.copy()
+            bad[index] += 2 * HERMITIAN_ATOL * delta
+            with pytest.raises(ValueError, match="not Hermitian"):
+                MeasurementOperator(bad)
+        within = hermitian.copy()
+        within[0, 1, 2, 0] += 0.5 * HERMITIAN_ATOL
+        MeasurementOperator(within)
+        single = MeasurementOperator(np.array([0.25, 0.75]).reshape(1, 2, 1, 1))
+        assert single._packed_effects.shape == (2, 1)
 
 
 class TestDesignMatchesEffects:
@@ -125,6 +139,14 @@ class TestDesignMatchesEffects:
                 got_backward = op.adjoint(z).entries
                 assert np.abs(got_forward - forward).max() <= 1e-12 * np.abs(forward).max()
                 assert np.abs(got_backward - backward).max() <= 1e-12 * np.abs(backward).max()
+
+    def test_packed_design_is_read_only_and_f_contiguous(self, t2, homodyne_small, homodyne10):
+        for op in (t2, homodyne_small, homodyne10):
+            design = op._packed_effects
+            assert not design.flags.writeable
+            assert design.flags.f_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                design[0, 0] = 1.0
 
 
 class TestPseudoInverse:
@@ -211,6 +233,24 @@ class TestHomodyneOperator:
         out = homodyne10.adjoint(np.ones(homodyne10.shape)).entries
         scaled = out - (out.trace().real / 10.0) * np.eye(10)
         assert np.linalg.norm(scaled) > 1e-12
+
+    def test_effects_match_defining_formula(self):
+        N, angles, edges, order = 4, [0.0, 0.7, 2.1], np.linspace(-5.0, 5.0, 7), 20
+        effects = homodyne_operator(N, angles, edges, quad_order=order).effects
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        for k in range(edges.size - 1):
+            half = 0.5 * (edges[k + 1] - edges[k])
+            mid = 0.5 * (edges[k + 1] + edges[k])
+            xs = [mid + half * node for node in nodes]
+            h = [[hermite_function(m, x) for x in xs] for m in range(N)]
+            for a, theta in enumerate(angles):
+                for m in range(N):
+                    for n in range(N):
+                        integral = sum(
+                            half * w * h[m][q] * h[n][q] for q, w in enumerate(weights)
+                        )
+                        expected = np.exp(1j * (n - m) * theta) * integral
+                        assert abs(effects[a, k, m, n] - expected) <= 1e-14
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="increasing"):
