@@ -11,7 +11,10 @@ from . import experiments
 
 def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    return config
 
 
 def _cmd_generate(args) -> int:

@@ -1,10 +1,10 @@
 """Forward measurement operators as collections of Hermitian effect matrices.
 
 An operator maps a Hermitian matrix rho to the real array of outcome values
-tr(rho E[m, k]) over M settings and K outcomes per setting. At construction
-the effects are packed into one real (M*K, N*N) design matrix, whose rows
-are their coordinates on an orthonormal basis of Herm(N); apply, adjoint and
-the least-squares preimage are all products with that matrix.
+tr(rho E[m, k]) over M settings and K outcomes per setting. It stores only
+one real (M*K, N*N) design matrix, whose rows are the effects' coordinates on
+an orthonormal basis of Herm(N); apply, adjoint and the least-squares preimage
+are products with it. The homodyne operator writes it without an effect array.
 """
 
 from __future__ import annotations
@@ -60,11 +60,17 @@ def _data_values(data) -> np.ndarray:
     return np.asarray(data, dtype=float)
 
 
+def _triangle(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of an N x N array's i <= j entries, diagonal first, and of their mirrors."""
+    triangle = np.concatenate([np.arange(N) * (N + 1), np.flatnonzero(np.triu(np.ones((N, N)), 1))])
+    return triangle, triangle % N * N + triangle // N
+
+
 class MeasurementOperator:
     """Linear map Herm(N) -> R^(M x K) given by an (M, K, N, N) effect array.
 
-    Row m*K + k of the design matrix is E[m, k] packed by `_pack`, so
-    tr(rho E[m, k]) is the dot product of that row with the packed rho.
+    Row m*K + k of the design matrix, the only stored form, is E[m, k] packed by
+    `_pack`, so tr(rho E[m, k]) is the dot product of that row with the packed rho.
     """
 
     def __init__(self, effects):
@@ -73,29 +79,35 @@ class MeasurementOperator:
             raise ValueError(f"effects must have shape (M, K, N, N), got {effects.shape}")
         if not np.isfinite(effects).all():
             raise ValueError("effects have non-finite entries")
-        N = effects.shape[2]
-        diagonal = np.arange(N) * (N + 1)
-        upper = np.flatnonzero(np.triu(np.ones((N, N), dtype=bool), 1))
-        triangle = np.concatenate([diagonal, upper])
-        flat = effects.reshape(effects.shape[0] * effects.shape[1], N * N)
+        rows, cols, N = effects.shape[:3]
+        triangle, mirror = _triangle(N)
+        flat = effects.reshape(rows * cols, N * N)
         tri = flat[:, triangle]
         # i <= j suffices: the difference at (j, i) negates the real part of the one at (i, j).
-        mirror = np.conjugate(flat[:, triangle % N * N + triangle // N])
-        deviation = float(np.abs(np.subtract(tri, mirror, out=mirror)).max())
-        del mirror  # freed before the design is built: a lower peak heap builds faster
+        deviation = float(np.abs(tri - np.conjugate(flat[:, mirror])).max())
         if deviation > HERMITIAN_ATOL:
             raise ValueError(f"effects are not Hermitian: max |E - E*| = {deviation:.3e}")
-        effects.setflags(write=False)
-        self.effects = effects
-        self.rows, self.cols, self.dim = effects.shape[0], effects.shape[1], N
+        self._set_design(rows, cols, N, tri.reshape(rows, cols, -1))
+
+    def _set_design(self, rows: int, cols: int, N: int, blocks) -> None:
+        """Pack blocks[m][k], the i <= j entries of E[m, k] in `_triangle` order, as the design."""
+        triangle, size = _triangle(N)[0], N * (N + 1) // 2
+        self.rows, self.cols, self.dim = rows, cols, N
         # Offsets into the interleaved (re, im) floats of a flattened N x N array.
-        self._offsets = np.concatenate([2 * diagonal, 2 * upper, 2 * upper + 1])
-        self._scale = np.concatenate([np.ones(N), np.full(2 * upper.size, np.sqrt(2.0))])
+        self._offsets = np.concatenate([2 * triangle, 2 * triangle[N:] + 1])
+        self._scale = np.concatenate([np.ones(N), np.full(N * N - N, np.sqrt(2.0))])
         # Halved diagonal: unpacking adds the upper triangle to its conjugate transpose.
-        self._unscale = np.concatenate([np.full(N, 0.5), np.full(2 * upper.size, np.sqrt(0.5))])
-        # F-contiguous like the gather, so that D @ v keeps to one BLAS kernel and its bits.
-        self._packed_effects = np.concatenate([tri.real, tri[:, N:].imag], axis=1) * self._scale
-        self._packed_effects.setflags(write=False)
+        self._unscale = np.concatenate([np.full(N, 0.5), np.full(N * N - N, np.sqrt(0.5))])
+        # F-ordered (C if one row or column, as ufuncs give), so D @ v keeps to one BLAS kernel.
+        order = "C" if min(rows * cols, N) == 1 else "F"
+        self._packed_effects = design = np.empty((rows * cols, N * N), order=order)
+        for m, tri in enumerate(blocks):
+            out = design[m * cols : (m + 1) * cols]
+            np.multiply(tri.real, self._scale[:size], out=out[:, :size])
+            np.multiply(tri[:, N:].imag, self._scale[size:], out=out[:, size:])
+        if not np.isfinite(design).all():
+            raise ValueError("effects have non-finite entries")
+        design.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -206,9 +218,13 @@ def homodyne_operator(
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or angles.size < 1:
         raise ValueError("angles must be a nonempty 1-D sequence")
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
     if np.unique(angles).size != angles.size:
         raise ValueError("angles must be distinct")
     edges = np.asarray(bin_edges, dtype=float)
+    if not np.isfinite(edges).all():
+        raise ValueError("bin_edges must be finite")
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("bin_edges must be strictly increasing with at least two entries")
 
@@ -220,24 +236,25 @@ def homodyne_operator(
     x = mid[:, None] + half[:, None] * nodes
     rows = _hermite_rows(N, x.ravel()).reshape(N, K, quad_order)
     scaled = (rows * np.sqrt(half[:, None] * weights)).transpose(1, 0, 2)
-    gram = scaled @ scaled.transpose(0, 2, 1)
-    overlaps = 0.5 * (gram + gram.transpose(0, 2, 1))
+    gram = (scaled @ scaled.transpose(0, 2, 1)).reshape(K, N * N)
 
-    effects = np.empty((angles.size, K, N, N), dtype=np.complex128)
-    orders = np.arange(N)
-    for m, theta in enumerate(angles):
-        u = np.exp(1j * orders * theta)
-        raw = np.outer(u.conj(), u) * overlaps
-        # exact conjugate symmetry (complex multiply may carry FMA residue)
-        np.add(raw, raw.conj().swapaxes(-1, -2), out=effects[m])
-        effects[m] *= 0.5
-    return MeasurementOperator(effects)
+    # Per angle, E = 0.5 * (raw + raw^H) at i <= j from raw = phase * overlap at (i, j) and
+    # (j, i), whose overlaps are equal: symmetrizing only the phases would keep FMA residue.
+    triangle, mirror = _triangle(N)
+    overlap = 0.5 * (gram[:, triangle] + gram[:, mirror])
+    phases = (np.outer(u.conj(), u).ravel() for u in np.exp(1j * np.arange(N) * angles[:, None]))
+    blocks = ((p[triangle] * overlap + np.conjugate(p[mirror] * overlap)) * 0.5 for p in phases)
+    operator = MeasurementOperator.__new__(MeasurementOperator)  # Hermitian by construction
+    operator._set_design(angles.size, K, N, blocks)
+    return operator
 
 
 # --- descriptors -------------------------------------------------------------
 
 def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
     """Build an operator from its JSON descriptor (kinds: pauli6, homodyne)."""
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"operator descriptor must be a JSON object, got {descriptor!r}")
     kind = descriptor.get("kind")
     if kind == "pauli6":
         return pauli_six_state()

@@ -3,7 +3,7 @@ import pytest
 
 from tomokit import DensityLike, random_density
 from tomokit.experiments import standard_homodyne_descriptor
-from tomokit.operators import operator_from_descriptor, pauli_six_state
+from tomokit.operators import _hermite_rows, operator_from_descriptor, pauli_six_state
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +28,43 @@ def homodyne_small():
 @pytest.fixture(scope="session")
 def small_descriptor():
     return standard_homodyne_descriptor(dim=4, n_angles=5, n_bins=12, half_width=6.0)
+
+
+def pauli_six_effects() -> np.ndarray:
+    """The six Pauli eigenprojectors written out, in the order of pauli_six_state()."""
+    return 0.5 * np.array(
+        [
+            [[[2, 0], [0, 0]], [[0, 0], [0, 2]]],
+            [[[1, 1], [1, 1]], [[1, -1], [-1, 1]]],
+            [[[1, -1j], [1j, 1]], [[1, 1j], [-1j, 1]]],
+        ],
+        dtype=np.complex128,
+    )
+
+
+def reference_homodyne_effects(descriptor: dict) -> np.ndarray:
+    """The full (M, K, N, N) homodyne effect array of a descriptor, built angle by
+    angle as 0.5 * (raw + raw^H) with raw = phase * overlap."""
+    N, quad_order = descriptor["dim"], descriptor.get("quad_order", 20)
+    angles = np.asarray(descriptor["angles"], dtype=float)
+    edges = np.asarray(descriptor["bin_edges"], dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    K = edges.size - 1
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = mid[:, None] + half[:, None] * nodes
+    rows = _hermite_rows(N, x.ravel()).reshape(N, K, quad_order)
+    scaled = (rows * np.sqrt(half[:, None] * weights)).transpose(1, 0, 2)
+    gram = scaled @ scaled.transpose(0, 2, 1)
+    overlaps = 0.5 * (gram + gram.transpose(0, 2, 1))
+    effects = np.empty((angles.size, K, N, N), dtype=np.complex128)
+    orders = np.arange(N)
+    for m, theta in enumerate(angles):
+        u = np.exp(1j * orders * theta)
+        raw = np.outer(u.conj(), u) * overlaps
+        np.add(raw, raw.conj().swapaxes(-1, -2), out=effects[m])
+        effects[m] *= 0.5
+    return effects
 
 
 def maximally_mixed(N: int) -> DensityLike:

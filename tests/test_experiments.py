@@ -23,10 +23,10 @@ from tomokit.experiments import (
 )
 from tomokit.hermitian import DensityLike, HermitianMatrix, load_matrix, random_density, save_matrix
 from tomokit.objectives import Objective
-from tomokit.operators import MeasurementData, MeasurementOperator, pauli_six_state
+from tomokit.operators import MeasurementData, MeasurementOperator, homodyne_operator
 from tomokit.solvers import FactorState, fgd_solve, gm_solve, pgd_solve
 
-from conftest import maximally_mixed
+from conftest import maximally_mixed, pauli_six_effects
 
 
 def small_spec(tmp_path, **overrides):
@@ -341,6 +341,16 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["generate", "--config", str(bad)]) == 1
 
+    def test_validate_rejects_non_object_configs(self, tmp_path, capsys):
+        state, config, data = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "d.csv"
+        save_matrix(state, np.eye(2) / 2)
+        _write_data_csv(data, 0.5)
+        argv = ["validate", "--state", str(state), "--config", str(config), "--data", str(data)]
+        for content in (["x"], {"operator": ["pauli6"]}):
+            config.write_text(json.dumps(content))
+            assert main(argv) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_rank_trap_cli(self, small_descriptor, tmp_path, capsys):
         cfg = tmp_path / "trap.json"
         cfg.write_text(
@@ -390,7 +400,7 @@ def _load_bad_matrix(tmp_path, value):
 
 
 def _bad_effects(value):
-    effects = np.array(pauli_six_state().effects)
+    effects = pauli_six_effects()
     effects[1, 0, 0, 0] = value
     return MeasurementOperator(effects)
 
@@ -402,6 +412,8 @@ NON_FINITE_ENTRY_POINTS = {
     "DensityLike": lambda tmp, v: DensityLike.from_array(np.diag([v, 0.5])),
     "DensityLike_trace_target": lambda tmp, v: DensityLike.from_array(np.eye(2) / 2, v),
     "MeasurementOperator": lambda tmp, v: _bad_effects(v),
+    "homodyne_angles": lambda tmp, v: homodyne_operator(2, [0.0, v], [0.0, 1.0]),
+    "homodyne_bin_edges": lambda tmp, v: homodyne_operator(2, [0.0], [0.0, 1.0, v]),
     "FactorState": lambda tmp, v: FactorState(np.array([[v], [0.0]])),
     "FactorState_trace_target": lambda tmp, v: FactorState(np.array([[1.0], [0.0]]), v),
     "load_csv": _load_bad_csv,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tomokit.experiments import standard_homodyne_descriptor
 from tomokit.hermitian import HERMITIAN_ATOL, DensityLike, random_density, random_hermitian
 from tomokit.operators import (
     MeasurementData,
@@ -13,7 +14,14 @@ from tomokit.operators import (
     pauli_six_state,
 )
 
+from conftest import pauli_six_effects, reference_homodyne_effects
+
 RHO_FIX = DensityLike.from_array(np.array([[1.0, 1 - 1j], [1 + 1j, 2.0]]) / 3.0)
+# Homodyne setups whose design has one column (N = 1) or one row (one angle, one bin).
+ONE_COLUMN_OR_ROW = [
+    standard_homodyne_descriptor(dim=1, n_angles=2, n_bins=3),
+    standard_homodyne_descriptor(dim=10, n_angles=1, n_bins=1),
+]
 
 
 def sigma_of(t: float) -> np.ndarray:
@@ -24,6 +32,13 @@ def preimage_of(t: float) -> np.ndarray:
     return np.array(
         [[2 + 4 * t, (2 - 5 * t) * (1 - 1j)], [(2 - 5 * t) * (1 + 1j), 4 - 4 * t]]
     ) / 6.0
+
+
+def effects_of(op: MeasurementOperator) -> np.ndarray:
+    """The operator's own effects, read back as adjoint(e_mk) = E[m, k]."""
+    units = np.eye(op.rows * op.cols).reshape(-1, op.rows, op.cols)
+    read = [op.adjoint(unit).entries for unit in units]
+    return np.array(read).reshape(op.rows, op.cols, op.dim, op.dim)
 
 
 def data_of(t: float) -> np.ndarray:
@@ -57,8 +72,8 @@ class TestPauliSixState:
             out = t2.adjoint(z).entries
             assert np.allclose(out, sigma_of(t), atol=1e-13)
 
-    def test_effect_gram_rank_is_full_herm_dimension(self, t2):
-        flat = t2.effects.reshape(6, 4)
+    def test_effect_gram_rank_is_full_herm_dimension(self):
+        flat = pauli_six_effects().reshape(6, 4)
         gram = (flat @ flat.conj().T).real
         assert np.linalg.matrix_rank(gram) == 4
 
@@ -122,23 +137,42 @@ class TestDesignMatchesEffects:
     """apply/adjoint through the packed design against sums over the raw effects."""
 
     @staticmethod
-    def random_effect_operator():
+    def random_effects():
         rng = np.random.default_rng(17)
         G = rng.standard_normal((4, 3, 3, 3)) + 1j * rng.standard_normal((4, 3, 3, 3))
-        return MeasurementOperator(G + G.conj().swapaxes(-1, -2))
+        return G + G.conj().swapaxes(-1, -2)
 
-    def test_apply_and_adjoint_match_effect_sums(self, t2, homodyne_small, homodyne10):
+    def test_apply_and_adjoint_match_effect_sums(
+        self, t2, homodyne_small, homodyne10, small_descriptor
+    ):
         rng = np.random.default_rng(5)
-        for op in (t2, homodyne_small, homodyne10, self.random_effect_operator()):
+        random_effects = self.random_effects()
+        cases = (
+            (t2, pauli_six_effects()),
+            (homodyne_small, reference_homodyne_effects(small_descriptor)),
+            (homodyne10, reference_homodyne_effects(standard_homodyne_descriptor())),
+            (MeasurementOperator(random_effects), random_effects),
+        )
+        for op, effects in cases:
             for seed in range(5):
                 rho = random_hermitian(op.dim, seed).entries
                 z = rng.standard_normal(op.shape)
-                forward = np.einsum("mkij,ji->mk", op.effects, rho).real
-                backward = np.einsum("mk,mkij->ij", z, op.effects)
+                forward = np.einsum("mkij,ji->mk", effects, rho).real
+                backward = np.einsum("mk,mkij->ij", z, effects)
                 got_forward = op.apply(rho)
                 got_backward = op.adjoint(z).entries
                 assert np.abs(got_forward - forward).max() <= 1e-12 * np.abs(forward).max()
                 assert np.abs(got_backward - backward).max() <= 1e-12 * np.abs(backward).max()
+
+    def test_homodyne_design_bytes_match_checked_reference(
+        self, homodyne_small, homodyne10, small_descriptor
+    ):
+        cases = [(homodyne_small, small_descriptor), (homodyne10, standard_homodyne_descriptor())]
+        cases += [(operator_from_descriptor(d), d) for d in ONE_COLUMN_OR_ROW]
+        for op, descriptor in cases:
+            checked = MeasurementOperator(reference_homodyne_effects(descriptor))
+            assert op._packed_effects.tobytes() == checked._packed_effects.tobytes()
+            assert op._packed_effects.strides == checked._packed_effects.strides
 
     def test_packed_design_is_read_only_and_f_contiguous(self, t2, homodyne_small, homodyne10):
         for op in (t2, homodyne_small, homodyne10):
@@ -147,6 +181,10 @@ class TestDesignMatchesEffects:
             assert design.flags.f_contiguous
             with pytest.raises(ValueError, match="read-only"):
                 design[0, 0] = 1.0
+        for descriptor in ONE_COLUMN_OR_ROW:
+            design = operator_from_descriptor(descriptor)._packed_effects
+            # The strides numpy gives a new array of that shape.
+            assert design.strides == np.empty(design.shape).strides
 
 
 class TestPseudoInverse:
@@ -219,11 +257,11 @@ class TestHomodyneOperator:
             assert np.abs(sums - 1.0).max() < 1e-6
 
     def test_effects_exactly_hermitian(self, homodyne10):
-        E = homodyne10.effects
+        E = effects_of(homodyne10)
         assert np.array_equal(E, E.conj().swapaxes(-1, -2))
 
     def test_effects_sum_to_identity_per_angle(self, homodyne10):
-        per_angle = homodyne10.effects.sum(axis=1)
+        per_angle = effects_of(homodyne10).sum(axis=1)
         for m in range(homodyne10.rows):
             assert np.linalg.norm(per_angle[m] - np.eye(10)) < 1e-6
 
@@ -236,7 +274,7 @@ class TestHomodyneOperator:
 
     def test_effects_match_defining_formula(self):
         N, angles, edges, order = 4, [0.0, 0.7, 2.1], np.linspace(-5.0, 5.0, 7), 20
-        effects = homodyne_operator(N, angles, edges, quad_order=order).effects
+        effects = effects_of(homodyne_operator(N, angles, edges, quad_order=order))
         nodes, weights = np.polynomial.legendre.leggauss(order)
         for k in range(edges.size - 1):
             half = 0.5 * (edges[k + 1] - edges[k])
@@ -259,6 +297,10 @@ class TestHomodyneOperator:
             homodyne_operator(2, [0.0], [0.0, 1.0], quad_order=1)
         with pytest.raises(ValueError, match="distinct"):
             homodyne_operator(2, [0.3, 0.3], [0.0, 1.0])
+        with pytest.raises(ValueError, match="angles must be finite"):
+            homodyne_operator(2, [np.inf], [0.0, 1.0])
+        with pytest.raises(ValueError, match="bin_edges must be finite"):
+            homodyne_operator(2, [0.0], [0.0, 1.0, np.inf])
 
 
 class TestMeasurementData:
