@@ -34,7 +34,6 @@ from .operators import (
     MeasurementData,
     MeasurementOperator,
     RankDeficiencyError,
-    hermite_function,
     homodyne_operator,
     operator_from_descriptor,
     pauli_six_state,

@@ -175,19 +175,6 @@ def pauli_six_state() -> MeasurementOperator:
     return MeasurementOperator(effects)
 
 
-def hermite_function(m: int, x) -> np.ndarray | float:
-    """Orthonormal Hermite function h_m(x) = (2^m m! sqrt(pi))^(-1/2) H_m(x) e^(-x^2/2).
-
-    Uses the stable two-term recurrence; underflow far in the tails returns 0.
-    """
-    if m < 0:
-        raise ValueError(f"order must be nonnegative, got {m}")
-    arr = np.asarray(x, dtype=float)
-    rows = _hermite_rows(m + 1, np.atleast_1d(arr))
-    out = rows[m]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
 def _hermite_rows(count: int, x: np.ndarray) -> np.ndarray:
     """First `count` Hermite functions evaluated at the nodes x, shape (count, len(x))."""
     rows = np.zeros((count, x.size), dtype=float)

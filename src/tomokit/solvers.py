@@ -15,6 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .diagnostics import VALID, validity_certificate
 from .hermitian import DensityLike, _project_density_arr, entries_of, trace_norm
 from .objectives import NEG_LOG_LIKELIHOOD, Objective
 
@@ -27,6 +28,9 @@ EPS_EXHAUSTED = "eps_exhausted"
 DESCENT_SLACK = 1e-12
 
 _TRACE_FLOOR = 1e-300
+
+# Accepted steps between two certificate checks of a certified solve.
+CERTIFY_EVERY = 25
 
 # The sandwich map amplifies kernel rounding dirt (of either sign) by up to
 # ||A||^2 per step; zeroing eigenvalues this far below the trace scale keeps
@@ -170,12 +174,30 @@ def gm_step(rho: DensityLike, g, eps: float, c: float | None = None) -> DensityL
     return DensityLike.from_array(_gm_step_arr(rho.entries, entries_of(g), eps, c), c)
 
 
-def _fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, c: float) -> np.ndarray:
-    half = X - eps * (g @ X)
+def _renormalized(half: np.ndarray, eps: float, c: float) -> np.ndarray:
     norm = np.linalg.norm(half)
     if norm < math.sqrt(_TRACE_FLOOR):
         raise DegenerateStateError(f"factor norm {norm!r} vanished at eps={eps!r}")
     return half * (np.sqrt(c) / norm)
+
+
+def _fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, c: float) -> np.ndarray:
+    return _renormalized(X - eps * (g @ X), eps, c)
+
+
+def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, c: float) -> np.ndarray:
+    """Preconditioned step X - eps * G X (X* X + lam I)^-1 with the Lagrangian-shifted
+    gradient G = g - (tr(X* g X) / c) I and lam = ||G X||_F, renormalized."""
+    GX = g @ X
+    GX -= (np.vdot(X, GX).real / c) * X
+    lam = np.linalg.norm(GX)
+    if lam == 0.0:
+        # No descent direction; X* X alone is singular for a factor with a zero column.
+        return _renormalized(X, eps, c)
+    P = X.conj().T @ X
+    P.flat[:: P.shape[0] + 1] += lam
+    # G X P^-1 = (P^-T (G X)^T)^T, one solve for all rows.
+    return _renormalized(X - eps * np.linalg.solve(P.T, GX.T).T, eps, c)
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -240,6 +262,7 @@ def _line_searched_solve(
     step_fn,
     wrap,
     next_eps,
+    certify=None,
 ):
     """Shared backtracking descent loop for every line-searched iteration.
 
@@ -248,6 +271,9 @@ def _line_searched_solve(
     iterates, and `next_eps(eps, d_rho, d_g)` sets the first trial eps of the
     next step from the accepted eps and the last density and gradient changes.
     A raised DegenerateStateError counts as a failed trial and shrinks eps.
+    `certify(rho)`, when given, is asked every CERTIFY_EVERY accepted steps
+    whether the density array rho passes the validity certificate; a pass
+    stops the solve as converged.
     """
     rho = density_of(state)
     p = obj._forward_arr(rho)
@@ -284,7 +310,9 @@ def _line_searched_solve(
         trace.residuals.append(residual)
         if keep_trace:
             trace.iterates_kept.append(wrap(state))
-        if residual < tol:
+        if residual < tol or (
+            certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho)
+        ):
             trace.stop_reason = CONVERGED
             break
         g_new = obj._gradient_from(p_cand)
@@ -335,14 +363,34 @@ def fgd_solve(
     max_iter: int = 20000,
     tol: float = 1e-10,
     keep_trace: bool = False,
+    precondition: bool = False,
 ) -> tuple[FactorState, SolverTrace]:
     """Factorized gradient descent with the same step control as gm_solve.
 
     Iterates stay rank <= r; residuals and objective values are measured on
     the outer products X X*.
+
+    precondition=True takes the scaled step
+    X <- normalize(X - eps * G X (X* X + lam I)^-1), where
+    G X = grad F X - (tr(X* grad F X) / c) X is the gradient of the Lagrangian
+    (its fixed points are the KKT points) and lam = ||G X||_F. The right
+    preconditioner restores a linear rate when r exceeds the rank of the
+    minimizer, where the plain step converges only at O(1/t). Its step
+    residual can stall above a tight tol once the iterate is already a
+    minimizer, so such a solve also runs the validity certificate every
+    CERTIFY_EVERY accepted steps and stops `converged` when it reads valid.
+    The step is opt-in: on noisy full-rank data this lam rule collapses eps
+    and stalls where the plain step converges.
     """
     policy = policy or StepPolicy()
     c = state0.trace_target
+    step_fn, certify = _fgd_apply_arr, None
+    if precondition:
+        step_fn = _scaled_fgd_apply_arr
+
+        def certify(rho: np.ndarray) -> bool:
+            return validity_certificate(DensityLike.from_array(rho, c), obj).verdict == VALID
+
     final, trace = _line_searched_solve(
         np.array(state0.X),
         obj,
@@ -351,9 +399,10 @@ def fgd_solve(
         tol,
         keep_trace,
         density_of=_outer,
-        step_fn=lambda X, g, eps: _fgd_apply_arr(X, g, eps, c),
+        step_fn=lambda X, g, eps: step_fn(X, g, eps, c),
         wrap=lambda X: FactorState(X, c),
         next_eps=_keep_eps,
+        certify=certify,
     )
     return FactorState(final, c), trace
 

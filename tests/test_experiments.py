@@ -244,9 +244,13 @@ class TestRankTrap:
             truth = random_density(4, 2, rec.truth["seed"])
             discarded = np.sort(np.linalg.eigvalsh(truth.entries))[::-1][start_rank:].sum()
             assert rec.trace_distance_to_truth >= discarded - 1e-9
+        for r in (1, 3):
+            iterations = [rec.iterations for rec in records if rec.solver_id.endswith(f"-r{r}")]
+            assert by_rank[r]["median_iterations"] == float(np.median(iterations))
         text = (tmp_path / "summary.csv").read_text().splitlines()
         assert text[0].startswith("start_rank,")
         assert len(text) == 3
+        assert text[0].endswith(",median_iterations")
 
     def test_zero_start_rank_rejected(self, small_descriptor):
         with pytest.raises(ValueError, match="start rank"):

@@ -8,7 +8,6 @@ from tomokit.operators import (
     MeasurementOperator,
     RankDeficiencyError,
     _hermite_rows,
-    hermite_function,
     homodyne_operator,
     operator_from_descriptor,
     pauli_six_state,
@@ -216,10 +215,10 @@ class TestPseudoInverse:
 
 class TestHermiteFunctions:
     def test_ground_state_at_origin(self):
-        assert hermite_function(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-12)
+        assert _hermite_rows(1, np.array([0.0]))[0, 0] == pytest.approx(np.pi ** -0.25, abs=1e-12)
 
     def test_odd_order_vanishes_at_origin(self):
-        assert hermite_function(1, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert _hermite_rows(2, np.array([0.0]))[1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_orthonormality_by_quadrature(self):
         nodes, weights = np.polynomial.legendre.leggauss(80)
@@ -229,15 +228,10 @@ class TestHermiteFunctions:
         assert np.abs(gram - np.eye(10)).max() < 1e-10
 
     def test_underflow_returns_zero(self):
-        assert hermite_function(0, 60.0) == 0.0
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_function(-1, 0.0)
+        assert _hermite_rows(1, np.array([60.0]))[0, 0] == 0.0
 
     def test_array_input_shape(self):
-        out = hermite_function(3, np.linspace(-1, 1, 7))
-        assert out.shape == (7,)
+        assert _hermite_rows(4, np.linspace(-1, 1, 7)).shape == (4, 7)
 
 
 class TestHomodyneOperator:
@@ -280,7 +274,7 @@ class TestHomodyneOperator:
             half = 0.5 * (edges[k + 1] - edges[k])
             mid = 0.5 * (edges[k + 1] + edges[k])
             xs = [mid + half * node for node in nodes]
-            h = [[hermite_function(m, x) for x in xs] for m in range(N)]
+            h = _hermite_rows(N, np.array(xs))
             for a, theta in enumerate(angles):
                 for m in range(N):
                     for n in range(N):

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tomokit.diagnostics import construct_spurious_t2, mu_exclusion
+from tomokit.diagnostics import (
+    SPURIOUS,
+    VALID,
+    construct_spurious_t2,
+    mu_exclusion,
+    validity_certificate,
+)
 from tomokit.hermitian import DensityLike, random_density, trace_norm
 from tomokit.objectives import Objective
 from tomokit.operators import MeasurementOperator
@@ -22,6 +28,8 @@ from tomokit.solvers import (
     mle_solve,
     mle_step,
     pgd_solve,
+    _outer,
+    _scaled_fgd_apply_arr,
 )
 
 from conftest import conditioned_full_rank, maximally_mixed
@@ -316,6 +324,63 @@ class TestFactorized:
         )
         assert np.allclose(gm_trace.eps_values, fgd_trace.eps_values)
         assert trace_norm(state.density().entries - rho.entries) < 1e-8
+
+
+class TestScaledFactorized:
+    @pytest.mark.parametrize("t", [0.1, 0.5, 8.0 / 11.0])
+    def test_spurious_point_stays_fixed(self, t2, t):
+        rho_fix, data, _ = construct_spurious_t2(t)
+        obj = Objective(t2, data, kind="nll")
+        X = FactorState.from_density(rho_fix, 1).X
+        g = obj._gradient_arr(_outer(X))
+        for eps in (0.1, 0.5):
+            out = _scaled_fgd_apply_arr(X, g, eps, 1.0)
+            assert trace_norm(_outer(out) - _outer(X)) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.1, 0.5, 8.0 / 11.0])
+    def test_zero_column_at_spurious_point_neither_raises_nor_moves(self, t2, t):
+        rho_fix, data, _ = construct_spurious_t2(t)
+        X = np.hstack([FactorState.from_density(rho_fix, 1).X, np.zeros((2, 1), dtype=complex)])
+        # nll on the spurious data leaves a rounding-size direction; l2 on the
+        # factor's own forward values makes the direction exactly zero, where
+        # X* X is singular.
+        own = t2._apply_arr(_outer(X))
+        for obj in (Objective(t2, data, kind="nll"), Objective(t2, own, kind="l2")):
+            g = obj._gradient_arr(_outer(X))
+            for eps in (0.1, 0.5):
+                out = _scaled_fgd_apply_arr(X, g, eps, 1.0)
+                assert trace_norm(_outer(out) - _outer(X)) < 1e-12
+                assert np.abs(out[:, 1]).max() == 0.0
+        state, trace = fgd_solve(FactorState(X), obj, max_iter=50, precondition=True)
+        assert trace.stop_reason == CONVERGED
+        assert trace_norm(state.density().entries - _outer(X)) < 1e-12
+
+    def test_over_parameterized_exact_data_stops_certified(self, t2, homodyne_small):
+        cases = [(t2, 1, 2), (t2, 2, 2), (homodyne_small, 2, 3), (homodyne_small, 2, 4)]
+        for seed, (op, true_rank, start_rank) in enumerate(cases, start=40):
+            truth = random_density(op.dim, true_rank, seed)
+            obj = Objective(op, op.apply(truth), kind="nll")
+            start = random_density(op.dim, start_rank, seed + 10)
+            state0 = FactorState.from_density(start, start_rank)
+            state, trace = fgd_solve(state0, obj, max_iter=20000, tol=1e-12, precondition=True)
+            assert trace.stop_reason == CONVERGED
+            assert validity_certificate(state.density(), obj).verdict == VALID
+            assert np.diff(trace.objective_values).max() <= 1e-12
+
+    @pytest.mark.parametrize("precondition", [False, True])
+    def test_rank_one_start_on_rank_two_data_ends_spurious(self, homodyne_small, precondition):
+        # the paper's trap: a start below the true rank settles at a spurious
+        # fixed point, with or without the preconditioner
+        for seed in (50, 51):
+            truth = random_density(homodyne_small.dim, 2, seed)
+            obj = Objective(homodyne_small, homodyne_small.apply(truth), kind="nll")
+            state0 = FactorState.from_density(random_density(homodyne_small.dim, 1, seed + 10), 1)
+            state, trace = fgd_solve(
+                state0, obj, max_iter=6000, tol=1e-11, precondition=precondition
+            )
+            assert trace.stop_reason == CONVERGED
+            assert validity_certificate(state.density(), obj).verdict == SPURIOUS
+            assert trace_norm(state.density().entries - truth.entries) > 1e-2
 
 
 class TestPgdSolve:
