@@ -21,7 +21,6 @@ from .diagnostics import (
 from .hermitian import (
     DensityLike,
     HermitianMatrix,
-    is_psd,
     load_matrix,
     project_to_density,
     random_density,

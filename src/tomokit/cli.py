@@ -41,16 +41,10 @@ def _cmd_rank_trap(args) -> int:
         config["seed"] = args.seed
     out = args.out or config.get("output_dir") or "."
     _records, summary = experiments.rank_trap(config, out_dir=out)
-    print(
-        "start_rank  median_distance  median_min_eig_restricted  spurious_fraction"
-        "  median_iterations"
-    )
+    columns = experiments.SUMMARY_CSV_COLUMNS
+    print("  ".join(columns))
     for row in summary:
-        print(
-            f"{row['start_rank']:>10d}  {row['median_trace_distance']:>15.6e}  "
-            f"{row['median_min_eig_Q_restricted']:>25.6e}  {row['spurious_fraction']:>17.2f}  "
-            f"{row['median_iterations']:>17.0f}"
-        )
+        print("  ".join(f"{row[column]:>{len(column)}.6g}" for column in columns))
     return 0
 
 

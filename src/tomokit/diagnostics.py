@@ -24,12 +24,15 @@ VALID = "valid"
 SPURIOUS = "spurious"
 NOT_FIXED_POINT = "not_fixed_point"
 
+# The certificate's absolute tolerances, each stated only here.
 # Eigenvectors of rho below this eigenvalue count as its numerical kernel.
 KERNEL_EIG_CUTOFF = 1e-10
-
-PSD_TOL_DEFAULT = 1e-6
-RESTRICTED_PSD_TOL_DEFAULT = 1e-8
-FIX_TOL_DEFAULT = 1e-8
+# Slack on the full-spectrum minimum eigenvalue of Q.
+PSD_TOL = 1e-6
+# Slack on the minimum eigenvalue of Q restricted to the kernel of rho.
+RESTRICTED_PSD_TOL = 1e-8
+# Largest relative defect of rho (-grad F) = lam rho that counts as a fixed point.
+FIX_TOL = 1e-8
 
 SPURIOUS_T_MAX = 8.0 / 11.0
 
@@ -91,19 +94,13 @@ def subgradient_membership(rho: DensityLike, M, tol: float = 1e-8) -> bool:
     return bool(np.linalg.eigvalsh(Q)[0] >= -tol)
 
 
-def validity_certificate(
-    rho: DensityLike,
-    obj: Objective,
-    psd_tol: float = PSD_TOL_DEFAULT,
-    fix_tol: float = FIX_TOL_DEFAULT,
-    restricted_psd_tol: float = RESTRICTED_PSD_TOL_DEFAULT,
-    kernel_cutoff: float = KERNEL_EIG_CUTOFF,
-) -> ValidityCertificate:
+def validity_certificate(rho: DensityLike, obj: Objective) -> ValidityCertificate:
     """First-order validity check of a candidate fixed point.
 
     Verdicts: not_fixed_point when -grad F(rho) fails to scale rho within
-    fix_tol; otherwise valid when Q passes the PSD tests (full spectrum within
-    psd_tol, kernel-restricted block within restricted_psd_tol), else spurious.
+    FIX_TOL; otherwise valid when Q passes the PSD tests (full spectrum within
+    PSD_TOL; the block on the kernel of rho, spanned by its eigenvectors below
+    KERNEL_EIG_CUTOFF, within RESTRICTED_PSD_TOL), else spurious.
     The restricted minimum is +inf when rho has no numerical kernel.
     """
     g = obj._gradient_arr(rho.entries)
@@ -113,7 +110,7 @@ def validity_certificate(
     min_eig = float(np.linalg.eigvalsh(Q_arr)[0])
 
     vals, vecs = np.linalg.eigh(rho.entries)
-    kernel_vecs = vecs[:, vals < kernel_cutoff]
+    kernel_vecs = vecs[:, vals < KERNEL_EIG_CUTOFF]
     if kernel_vecs.shape[1] == 0:
         min_eig_restricted = math.inf
     else:
@@ -121,9 +118,9 @@ def validity_certificate(
         block = 0.5 * (block + block.conj().T)
         min_eig_restricted = float(np.linalg.eigvalsh(block)[0])
 
-    if residual > fix_tol:
+    if residual > FIX_TOL:
         verdict = NOT_FIXED_POINT
-    elif min_eig >= -psd_tol and min_eig_restricted >= -restricted_psd_tol:
+    elif min_eig >= -PSD_TOL and min_eig_restricted >= -RESTRICTED_PSD_TOL:
         verdict = VALID
     else:
         verdict = SPURIOUS

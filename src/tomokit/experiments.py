@@ -28,7 +28,6 @@ from .operators import MeasurementData, MeasurementOperator, operator_from_descr
 from .solvers import (
     FactorState,
     SolverTrace,
-    StepPolicy,
     fgd_solve,
     gm_solve,
     mle_solve,
@@ -165,9 +164,16 @@ class ExperimentSpec:
         }
 
 
+def _json_object(value, name: str) -> dict:
+    """A nested config block, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"config field {name} must be a JSON object, got {value!r}")
+    return value
+
+
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
-    ensemble = config.get("ensemble", {})
-    noise = config.get("noise", {})
+    ensemble = _json_object(config.get("ensemble", {}), "ensemble")
+    noise = _json_object(config.get("noise", {}), "noise")
     return ExperimentSpec(
         operator=config["operator"],
         dim=int(ensemble["dim"]),
@@ -286,10 +292,8 @@ def records_to_json(records: list[RunRecord], path, config: dict | None = None) 
 
 
 def solver_id_of(cfg: dict) -> str:
-    if "id" in cfg:
-        return str(cfg["id"])
     rank = cfg.get("rank")
-    rank_tag = "full" if rank in (None, "null") else f"r{int(rank)}"
+    rank_tag = "full" if rank is None else f"r{int(rank)}"
     return f"{cfg.get('solver', 'gm')}-{cfg.get('fit', 'nll')}-{rank_tag}"
 
 
@@ -301,13 +305,14 @@ def run_solver_config(
 ) -> tuple[DensityLike, SolverTrace | None, Objective]:
     """Dispatch one solver configuration against one data array.
 
-    Full-rank iterations start from the maximally mixed state; rank-limited
-    ones start from a seeded random state of that rank.
+    Reads the keys `solver` (gm, fgd, mle or pgd; default gm), `fit` (default
+    nll), `tol` (default 1e-10), `max_iter` (default 20000), `rank` (absent:
+    full rank) and `seed` (default 0). Full-rank iterations start from the
+    maximally mixed state; rank-limited ones start from a random state of that
+    rank, seeded by (seed, instance_seed).
     """
     kind = cfg.get("solver", "gm")
-    obj = Objective(
-        operator, data, kind=cfg.get("fit", "nll"), floor=float(cfg.get("floor", 1e-12))
-    )
+    obj = Objective(operator, data, kind=cfg.get("fit", "nll"))
     tol = float(cfg.get("tol", 1e-10))
     max_iter = int(cfg.get("max_iter", 20000))
     rank = cfg.get("rank")
@@ -320,19 +325,18 @@ def run_solver_config(
         rho0 = random_density(N, rank, derive_seed(int(cfg.get("seed", 0)), instance_seed))
 
     if kind == "pgd":
-        final = pgd_solve(rho0, obj, step=cfg.get("eps0"), max_iter=max_iter, tol=tol)
+        final = pgd_solve(rho0, obj, max_iter=max_iter, tol=tol)
         return final, None, obj
     if kind == "mle":
         final, trace = mle_solve(rho0, obj, max_iter=max_iter, tol=tol)
         return final, trace, obj
 
-    policy = StepPolicy(initial_eps=cfg.get("eps0"))
     if kind == "gm":
-        final, trace = gm_solve(rho0, obj, policy, max_iter=max_iter, tol=tol)
+        final, trace = gm_solve(rho0, obj, max_iter=max_iter, tol=tol)
         return final, trace, obj
     if kind == "fgd":
         state0 = FactorState.from_density(rho0, rank if rank is not None else N)
-        state, trace = fgd_solve(state0, obj, policy, max_iter=max_iter, tol=tol)
+        state, trace = fgd_solve(state0, obj, max_iter=max_iter, tol=tol)
         return state.density(), trace, obj
     raise ValueError(f"unknown solver kind {kind!r}")
 
@@ -381,7 +385,8 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     solver_cfgs = run_config.get("solvers") or manifest["config"].get("solvers") or []
     if not solver_cfgs:
         raise ValueError("no solver configurations given")
-    oracle_cfg = run_config.get("oracle", {})
+    solver_cfgs = [_json_object(cfg, f"solvers[{i}]") for i, cfg in enumerate(solver_cfgs)]
+    oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle")
 
     records = []
     for index, entry in enumerate(manifest["instances"]):
@@ -440,21 +445,18 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
 def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     """Reconstruct rank-limited starts against fixed-rank truths, per start rank.
 
-    Exact data from `count` truths of rank `true_rank`; reconstruction with
-    the factorized solve started at every rank in `start_ranks`. The solve
-    takes the preconditioned step with its certificate stop (see fgd_solve),
-    so `tol` in the `solver` block no longer sets the accuracy of a start at
-    or above the true rank: it stops once validity_certificate passes at its
-    default tolerances (m_residual <= 1e-8), a trace distance of about 1e-8
-    to the truth where plain FGD at tol 1e-12 reached about 6e-10. Returns
-    the run records plus a per-start-rank summary with median trace distance,
-    median kernel-restricted minimum eigenvalue, spurious fraction and median
-    iteration count.
+    Exact data from `count` truths of rank `true_rank` under the required
+    `operator` descriptor; reconstruction with the factorized solve started
+    at every rank in `start_ranks`. The solve takes the preconditioned step
+    with its certificate stop (see fgd_solve), so `tol` in the `solver` block
+    no longer sets the accuracy of a start at or above the true rank: it stops
+    once validity_certificate passes (m_residual <= FIX_TOL = 1e-8), a trace
+    distance of about 1e-8 to the truth where plain FGD at tol 1e-12 reached
+    about 6e-10. Returns the run records plus a per-start-rank summary with
+    median trace distance, median kernel-restricted minimum eigenvalue,
+    spurious fraction and median iteration count.
     """
-    descriptor = config.get("operator") or standard_homodyne_descriptor(
-        int(config.get("dim", 10))
-    )
-    operator = operator_from_descriptor(descriptor)
+    operator = operator_from_descriptor(config["operator"])
     N = operator.dim
     true_rank = int(config.get("true_rank", 5))
     count = int(config.get("count", 10))
@@ -465,7 +467,7 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
         if not 1 <= r <= N:
             raise ValueError(f"start rank {r} outside [1, {N}]")
     fit = config.get("fit", "nll")
-    solver_cfg = config.get("solver", {})
+    solver_cfg = _json_object(config.get("solver", {}), "solver")
     tol = float(solver_cfg.get("tol", 1e-12))
     max_iter = int(solver_cfg.get("max_iter", 20000))
     seed = int(config.get("seed", 0))
@@ -481,9 +483,7 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
             init_seed = derive_seed(seed, true_rank, t_idx, 2, r)
             state0 = FactorState.from_density(random_density(N, r, init_seed), r)
             start = time.perf_counter()
-            state, trace = fgd_solve(
-                state0, obj, StepPolicy(), max_iter=max_iter, tol=tol, precondition=True
-            )
+            state, trace = fgd_solve(state0, obj, max_iter=max_iter, tol=tol, precondition=True)
             wall = time.perf_counter() - start
             record = _run_record(
                 f"t{t_idx:03d}", truth, {"rank": true_rank, "seed": truth_seed},
@@ -523,34 +523,15 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
 # --- validation ------------------------------------------------------------------
 
 def validate_state(state_path, config: dict, data_path) -> tuple[ValidityCertificate, int]:
-    """Certificate plus machine exit code (0 valid / 2 spurious / 3 not fixed point)."""
+    """Certificate plus machine exit code (0 valid / 2 spurious / 3 not fixed point).
+
+    Reads the keys `operator` (required descriptor) and `fit` (default nll);
+    the state must have unit trace.
+    """
     matrix = load_matrix(state_path)
     operator = operator_from_descriptor(config["operator"])
     data = MeasurementData.load_csv(data_path)
-    obj = Objective(
-        operator,
-        data,
-        kind=config.get("fit", "nll"),
-        floor=float(config.get("floor", 1e-12)),
-    )
-    rho = DensityLike(matrix, float(config.get("trace_target", 1.0)))
-    cert = validity_certificate(
-        rho,
-        obj,
-        psd_tol=float(config.get("psd_tol", 1e-6)),
-        fix_tol=float(config.get("fix_tol", 1e-8)),
-        restricted_psd_tol=float(config.get("restricted_psd_tol", 1e-8)),
-    )
+    obj = Objective(operator, data, kind=config.get("fit", "nll"))
+    cert = validity_certificate(DensityLike(matrix), obj)
     return cert, VALIDATE_EXIT_CODES[cert.verdict]
 
-
-def save_trace_csv(trace: SolverTrace, path) -> None:
-    """Write a solve trace as CSV with columns iter, objective, eps, residual."""
-    lines = ["iter,objective,eps,residual"]
-    lines.append(f"0,{trace.objective_values[0]!r},nan,nan")
-    for i in range(len(trace.residuals)):
-        lines.append(
-            f"{i + 1},{trace.objective_values[i + 1]!r},"
-            f"{trace.eps_values[i]!r},{trace.residuals[i]!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

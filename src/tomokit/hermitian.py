@@ -99,13 +99,6 @@ def trace_norm(A) -> float:
     return float(np.abs(np.linalg.eigvalsh(entries_of(A))).sum())
 
 
-def is_psd(H, tol: float = PSD_EIG_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    return bool(np.linalg.eigvalsh(entries_of(H))[0] >= -tol)
-
-
 def _project_to_scaled_simplex(v: np.ndarray, c: float) -> np.ndarray:
     """Euclidean projection of a real vector onto {x >= 0, sum(x) = c}."""
     u = np.sort(v)[::-1]

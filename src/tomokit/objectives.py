@@ -16,6 +16,9 @@ from .operators import MeasurementData, MeasurementOperator
 NEG_LOG_LIKELIHOOD = "nll"
 LEAST_SQUARES = "l2"
 
+# Forward values below this guard the nll log and division near the PSD boundary.
+FLOOR = 1e-12
+
 _KIND_ALIASES = {
     "nll": NEG_LOG_LIKELIHOOD,
     "neg_log_likelihood": NEG_LOG_LIKELIHOOD,
@@ -31,7 +34,6 @@ class Objective:
     operator: MeasurementOperator
     data: MeasurementData
     kind: str = NEG_LOG_LIKELIHOOD
-    floor: float = 1e-12
 
     def __post_init__(self):
         if not isinstance(self.data, MeasurementData):
@@ -44,8 +46,6 @@ class Objective:
         if kind is None:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         object.__setattr__(self, "kind", kind)
-        if not self.floor > 0:
-            raise ValueError(f"floor must be positive, got {self.floor}")
 
     # Forward values are shared between value and gradient in solver loops.
     def _forward_arr(self, rho: np.ndarray) -> np.ndarray:
@@ -54,14 +54,14 @@ class Objective:
     def _value_from(self, p: np.ndarray) -> float:
         y = self.data.values
         if self.kind == NEG_LOG_LIKELIHOOD:
-            return float(-(y * np.log(np.maximum(p, self.floor))).sum())
+            return float(-(y * np.log(np.maximum(p, FLOOR))).sum())
         diff = y - p
         return float(0.5 * (diff * diff).sum())
 
     def _gradient_from(self, p: np.ndarray) -> np.ndarray:
         y = self.data.values
         if self.kind == NEG_LOG_LIKELIHOOD:
-            weights = -y / np.maximum(p, self.floor)
+            weights = -y / np.maximum(p, FLOOR)
         else:
             weights = p - y
         return self.operator._adjoint_arr(weights)
@@ -82,4 +82,4 @@ class Objective:
 
     def floor_active(self, rho) -> bool:
         """True when some forward value fell below the guard floor."""
-        return bool(self.operator.apply(rho).min() < self.floor)
+        return bool(self.operator.apply(rho).min() < FLOOR)

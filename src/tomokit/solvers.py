@@ -257,19 +257,18 @@ def _line_searched_solve(
     policy: StepPolicy,
     max_iter: int,
     tol: float,
-    keep_trace: bool,
     density_of,
     step_fn,
-    wrap,
     next_eps,
     certify=None,
+    keep_trace: bool = False,
 ):
     """Shared backtracking descent loop for every line-searched iteration.
 
     `density_of` maps the raw state to its density array, `step_fn(state, g,
-    eps)` produces a trial state, `wrap` builds the public value for kept
-    iterates, and `next_eps(eps, d_rho, d_g)` sets the first trial eps of the
-    next step from the accepted eps and the last density and gradient changes.
+    eps)` produces a trial state, and `next_eps(eps, d_rho, d_g)` sets the
+    first trial eps of the next step from the accepted eps and the last
+    density and gradient changes. keep_trace keeps the raw states.
     A raised DegenerateStateError counts as a failed trial and shrinks eps.
     `certify(rho)`, when given, is asked every CERTIFY_EVERY accepted steps
     whether the density array rho passes the validity certificate; a pass
@@ -283,7 +282,7 @@ def _line_searched_solve(
 
     trace = SolverTrace(objective_values=[f])
     if keep_trace:
-        trace.iterates_kept = [wrap(state)]
+        trace.iterates_kept = [state]
 
     for _ in range(max_iter):
         while True:
@@ -309,7 +308,7 @@ def _line_searched_solve(
         trace.eps_values.append(eps)
         trace.residuals.append(residual)
         if keep_trace:
-            trace.iterates_kept.append(wrap(state))
+            trace.iterates_kept.append(state)
         if residual < tol or (
             certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho)
         ):
@@ -347,12 +346,13 @@ def gm_solve(
         policy,
         max_iter,
         tol,
-        keep_trace,
         density_of=lambda arr: arr,
         step_fn=lambda arr, g, eps: _psd_hygiene(_gm_step_arr(arr, g, eps, c), c),
-        wrap=lambda arr: DensityLike.from_array(arr, c),
         next_eps=_keep_eps,
+        keep_trace=keep_trace,
     )
+    if keep_trace:
+        trace.iterates_kept = [DensityLike.from_array(arr, c) for arr in trace.iterates_kept]
     return DensityLike.from_array(final, c), trace
 
 
@@ -362,7 +362,6 @@ def fgd_solve(
     policy: StepPolicy | None = None,
     max_iter: int = 20000,
     tol: float = 1e-10,
-    keep_trace: bool = False,
     precondition: bool = False,
 ) -> tuple[FactorState, SolverTrace]:
     """Factorized gradient descent with the same step control as gm_solve.
@@ -397,10 +396,8 @@ def fgd_solve(
         policy,
         max_iter,
         tol,
-        keep_trace,
         density_of=_outer,
         step_fn=lambda X, g, eps: step_fn(X, g, eps, c),
-        wrap=lambda X: FactorState(X, c),
         next_eps=_keep_eps,
         certify=certify,
     )
@@ -412,7 +409,6 @@ def mle_solve(
     obj: Objective,
     max_iter: int = 20000,
     tol: float = 1e-10,
-    keep_trace: bool = False,
 ) -> tuple[DensityLike, SolverTrace]:
     """Plain multiplicative likelihood iteration (no step size, no descent guarantee)."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
@@ -420,8 +416,6 @@ def mle_solve(
     c = rho0.trace_target
     rho = np.array(rho0.entries)
     trace = SolverTrace(objective_values=[obj._value_arr(rho)])
-    if keep_trace:
-        trace.iterates_kept = [rho0]
 
     for _ in range(max_iter):
         nxt = _psd_hygiene(_mle_step_arr(rho, obj, c), c)
@@ -430,8 +424,6 @@ def mle_solve(
         trace.objective_values.append(obj._value_arr(rho))
         trace.eps_values.append(math.nan)
         trace.residuals.append(residual)
-        if keep_trace:
-            trace.iterates_kept.append(DensityLike.from_array(rho, c))
         if residual < tol:
             trace.stop_reason = CONVERGED
             break
@@ -444,7 +436,6 @@ def mle_solve(
 def pgd_solve(
     rho0: DensityLike,
     obj: Objective,
-    step: float | None = None,
     max_iter: int = 20000,
     tol: float = 1e-11,
 ) -> DensityLike:
@@ -457,17 +448,15 @@ def pgd_solve(
     optimality residual.
     """
     c = rho0.trace_target
-    policy = StepPolicy(initial_eps=step, min_eps=1e-18)
+    policy = StepPolicy(min_eps=1e-18)
     final, _trace = _line_searched_solve(
         np.array(rho0.entries),
         obj,
         policy,
         max_iter,
         tol,
-        False,
         density_of=lambda arr: arr,
         step_fn=lambda arr, g, s: _project_density_arr(arr - s * g, c),
-        wrap=None,
         next_eps=_barzilai_borwein,
     )
     return DensityLike.from_array(final, c)

@@ -16,7 +16,6 @@ from tomokit.experiments import (
     parse_experiment_spec,
     rank_trap,
     reconstruct_dataset,
-    save_trace_csv,
     simulate_data,
     standard_homodyne_descriptor,
     validate_state,
@@ -24,7 +23,7 @@ from tomokit.experiments import (
 from tomokit.hermitian import DensityLike, HermitianMatrix, load_matrix, random_density, save_matrix
 from tomokit.objectives import Objective
 from tomokit.operators import MeasurementData, MeasurementOperator, homodyne_operator
-from tomokit.solvers import FactorState, fgd_solve, gm_solve, pgd_solve
+from tomokit.solvers import FactorState, fgd_solve, pgd_solve
 
 from conftest import maximally_mixed, pauli_six_effects
 
@@ -355,6 +354,41 @@ class TestCli:
             assert main(argv) == 1
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("rank-trap", {"operator": {"kind": "pauli6"}, "solver": 5}),
+            ("generate", {"operator": {"kind": "pauli6"}, "ensemble": [1]}),
+            (
+                "generate",
+                {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}, "noise": 3},
+            ),
+            ("reconstruct", {"oracle": 5, "solvers": [{"solver": "gm"}]}),
+            ("reconstruct", {"solvers": ["gm"]}),
+        ],
+        ids=["rank-trap-solver", "generate-ensemble", "generate-noise", "oracle", "solvers-entry"],
+    )
+    def test_rejects_non_object_config_blocks(self, command, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "reconstruct":
+            spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}}
+            generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+            argv += ["--dataset", str(tmp_path / "data")]
+        cfg.write_text(json.dumps(config))
+        assert main(argv) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_rank_trap_requires_operator(self, tmp_path, capsys):
+        cfg = tmp_path / "trap.json"
+        cfg.write_text(
+            json.dumps(
+                {"true_rank": 1, "count": 1, "start_ranks": [1], "solver": {"max_iter": 1}}
+            )
+        )
+        assert main(["rank-trap", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_rank_trap_cli(self, small_descriptor, tmp_path, capsys):
         cfg = tmp_path / "trap.json"
         cfg.write_text(
@@ -373,20 +407,6 @@ class TestCli:
         assert main(["rank-trap", "--config", str(cfg), "--out", str(out_dir)]) == 0
         assert (out_dir / "summary.csv").exists()
         assert "start_rank" in capsys.readouterr().out
-
-
-class TestTraceCsv:
-    def test_columns(self, t2, tmp_path):
-        truth = random_density(2, 2, 55)
-        obj = Objective(t2, t2.apply(truth), kind="nll")
-        _, trace = gm_solve(maximally_mixed(2), obj, max_iter=50, tol=1e-12)
-        path = tmp_path / "trace.csv"
-        save_trace_csv(trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,objective,eps,residual"
-        assert len(lines) == len(trace.residuals) + 2
-        first = lines[1].split(",")
-        assert first[0] == "0"
 
 
 def _write_data_csv(path, value):

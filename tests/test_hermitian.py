@@ -6,7 +6,6 @@ import pytest
 from tomokit.hermitian import (
     DensityLike,
     HermitianMatrix,
-    is_psd,
     load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -86,21 +85,11 @@ class TestTraceNorm:
                 assert tn > abs(tr) + 1e-12
 
 
-class TestIsPsd:
-    def test_identity(self):
-        assert is_psd(np.eye(2), tol=0.0)
-
-    def test_small_negative_rejected(self):
-        assert not is_psd(np.diag([1.0, -1e-6]), tol=1e-9)
-
+class TestClosedFormPreimage:
     def test_boundary_preimage_at_window_end(self):
         # at t = 8/11 the closed-form preimage has a zero eigenvalue
-        assert is_psd(closed_form_preimage(8.0 / 11.0), tol=1e-9)
-        assert not is_psd(closed_form_preimage(0.75), tol=1e-9)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_psd(np.eye(2), tol=-1.0)
+        assert np.linalg.eigvalsh(closed_form_preimage(8.0 / 11.0))[0] >= -1e-9
+        assert np.linalg.eigvalsh(closed_form_preimage(0.75))[0] < -1e-9
 
 
 class TestProjectToDensity:
