@@ -32,6 +32,9 @@ _TRACE_FLOOR = 1e-300
 # Accepted steps between two certificate checks of a certified solve.
 CERTIFY_EVERY = 25
 
+# Upper bound on the momentum weight k / (k + 3) of an extrapolated solve.
+MOMENTUM_CAP = 0.9
+
 # The sandwich map amplifies kernel rounding dirt (of either sign) by up to
 # ||A||^2 per step; zeroing eigenvalues this far below the trace scale keeps
 # iterates PSD and their numerical rank non-increasing.
@@ -71,12 +74,13 @@ class StepPolicy:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration bookkeeping for a solve."""
+    """Per-iteration bookkeeping for a solve; `trials` counts every trial step taken."""
 
     objective_values: list[float] = field(default_factory=list)
     eps_values: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     stop_reason: str = MAX_ITER
+    trials: int = 0
     iterates_kept: list | None = None
 
     @property
@@ -239,10 +243,6 @@ def _psd_hygiene(arr: np.ndarray, c: float) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def _keep_eps(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
-    return eps
-
-
 def _barzilai_borwein(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
     """Spectral step |d_rho|^2 / <d_rho, d_g>, clamped; doubles eps without curvature."""
     curvature = float(np.vdot(d_rho, d_g).real)
@@ -259,20 +259,24 @@ def _line_searched_solve(
     tol: float,
     density_of,
     step_fn,
-    next_eps,
+    next_eps=None,
     certify=None,
+    extrapolate=None,
     keep_trace: bool = False,
 ):
     """Shared backtracking descent loop for every line-searched iteration.
 
     `density_of` maps the raw state to its density array, `step_fn(state, g,
-    eps)` produces a trial state, and `next_eps(eps, d_rho, d_g)` sets the
-    first trial eps of the next step from the accepted eps and the last
-    density and gradient changes. keep_trace keeps the raw states.
+    eps)` produces a trial state, and `next_eps(eps, d_rho, d_g)`, when given,
+    sets the first trial eps of the next step from the accepted eps and the
+    last density and gradient changes; without it eps carries over.
+    keep_trace keeps the raw states.
     A raised DegenerateStateError counts as a failed trial and shrinks eps.
     `certify(rho)`, when given, is asked every CERTIFY_EVERY accepted steps
     whether the density array rho passes the validity certificate; a pass
     stops the solve as converged.
+    `extrapolate(plain, momentum, eps)`, when given, adds momentum to the plain
+    step as fgd_solve describes; only failed plain trials shrink eps.
     """
     rho = density_of(state)
     p = obj._forward_arr(rho)
@@ -284,18 +288,29 @@ def _line_searched_solve(
     if keep_trace:
         trace.iterates_kept = [state]
 
+    prev, k = state, 0
     for _ in range(max_iter):
+        plain = None
         while True:
+            trace.trials += 1
             try:
-                candidate = step_fn(state, g, eps)
-            except DegenerateStateError:
-                f_cand = math.inf
-            else:
+                if plain is None:
+                    plain = step_fn(state, g, eps)
+                candidate = plain
+                if k:
+                    momentum = min(k / (k + 3), MOMENTUM_CAP) * (state - prev)
+                    candidate = extrapolate(plain, momentum, eps)
                 rho_cand = density_of(candidate)
                 p_cand = obj._forward_arr(rho_cand)
                 f_cand = obj._value_from(p_cand)
+            except DegenerateStateError:
+                f_cand = math.inf
             if f_cand <= f + DESCENT_SLACK:
                 break
+            if k and plain is not None:
+                k = 0  # restart: retry the plain step at the same eps
+                continue
+            plain = None
             eps *= policy.shrink
             if eps < policy.min_eps:
                 trace.stop_reason = EPS_EXHAUSTED
@@ -303,7 +318,8 @@ def _line_searched_solve(
 
         d_rho = rho_cand - rho
         residual = trace_norm(d_rho)
-        state, rho, f = candidate, rho_cand, f_cand
+        prev, state, rho, f = state, candidate, rho_cand, f_cand
+        k += extrapolate is not None
         trace.objective_values.append(f)
         trace.eps_values.append(eps)
         trace.residuals.append(residual)
@@ -315,7 +331,8 @@ def _line_searched_solve(
             trace.stop_reason = CONVERGED
             break
         g_new = obj._gradient_from(p_cand)
-        eps = next_eps(eps, d_rho, g_new - g)
+        if next_eps is not None:
+            eps = next_eps(eps, d_rho, g_new - g)
         g = g_new
     else:
         trace.stop_reason = MAX_ITER
@@ -348,7 +365,6 @@ def gm_solve(
         tol,
         density_of=lambda arr: arr,
         step_fn=lambda arr, g, eps: _psd_hygiene(_gm_step_arr(arr, g, eps, c), c),
-        next_eps=_keep_eps,
         keep_trace=keep_trace,
     )
     if keep_trace:
@@ -378,14 +394,23 @@ def fgd_solve(
     residual can stall above a tight tol once the iterate is already a
     minimizer, so such a solve also runs the validity certificate every
     CERTIFY_EVERY accepted steps and stops `converged` when it reads valid.
+    It also carries momentum with adaptive restart (O'Donoghue and Candes,
+    arXiv:1204.3982): the first trial is normalize(step(X) + beta (X - X_prev))
+    with beta = min(k / (k + 3), MOMENTUM_CAP) after k accepted steps since the
+    last restart; a failed or degenerate momentum trial restarts (k = 0) with
+    the same plain step and eps, so eps only halves. X - X_prev is a consistent
+    direction because the step commutes with X -> X U for unitary U.
     The step is opt-in: on noisy full-rank data this lam rule collapses eps
     and stalls where the plain step converges.
     """
     policy = policy or StepPolicy()
     c = state0.trace_target
-    step_fn, certify = _fgd_apply_arr, None
+    step_fn, certify, extrapolate = _fgd_apply_arr, None, None
     if precondition:
         step_fn = _scaled_fgd_apply_arr
+
+        def extrapolate(plain: np.ndarray, momentum: np.ndarray, eps: float) -> np.ndarray:
+            return _renormalized(plain + momentum, eps, c)
 
         def certify(rho: np.ndarray) -> bool:
             return validity_certificate(DensityLike.from_array(rho, c), obj).verdict == VALID
@@ -398,8 +423,8 @@ def fgd_solve(
         tol,
         density_of=_outer,
         step_fn=lambda X, g, eps: step_fn(X, g, eps, c),
-        next_eps=_keep_eps,
         certify=certify,
+        extrapolate=extrapolate,
     )
     return FactorState(final, c), trace
 
@@ -419,6 +444,7 @@ def mle_solve(
 
     for _ in range(max_iter):
         nxt = _psd_hygiene(_mle_step_arr(rho, obj, c), c)
+        trace.trials += 1
         residual = trace_norm(nxt - rho)
         rho = nxt
         trace.objective_values.append(obj._value_arr(rho))

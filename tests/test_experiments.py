@@ -251,6 +251,23 @@ class TestRankTrap:
         assert len(text) == 3
         assert text[0].endswith(",median_iterations")
 
+    def test_over_parameterized_start_that_cycled_is_certified(self):
+        # rank-8 start of perfbench rank-trap seed 11, truth 13: without momentum the
+        # preconditioned step settled into a limit cycle and ran to max_iter
+        records, _ = rank_trap(
+            {
+                "operator": standard_homodyne_descriptor(),
+                "true_rank": 5,
+                "count": 1,
+                "start_ranks": [8],
+                "solver": {"tol": 1e-12, "max_iter": 20000},
+                "seed": derive_seed(11, 13),
+            }
+        )
+        (record,) = records
+        assert record.stop_reason == "converged"
+        assert record.certificate.verdict == VALID
+
     def test_zero_start_rank_rejected(self, small_descriptor):
         with pytest.raises(ValueError, match="start rank"):
             rank_trap({"operator": small_descriptor, "start_ranks": [0], "count": 1})
@@ -378,6 +395,30 @@ class TestCli:
         cfg.write_text(json.dumps(config))
         assert main(argv) == 1
         assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("generate", {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": 1}}),
+            (
+                "generate",
+                {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}, "solvers": 5},
+            ),
+            ("reconstruct", {"solvers": 5}),
+            ("rank-trap", {"operator": {"kind": "pauli6"}, "start_ranks": 2}),
+        ],
+        ids=["generate-ranks", "generate-solvers", "reconstruct-solvers", "rank-trap-start-ranks"],
+    )
+    def test_rejects_non_list_config_fields(self, command, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "reconstruct":
+            spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}}
+            generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+            argv += ["--dataset", str(tmp_path / "data")]
+        cfg.write_text(json.dumps(config))
+        assert main(argv) == 1
+        assert "must be a JSON list" in capsys.readouterr().err
 
     def test_rank_trap_requires_operator(self, tmp_path, capsys):
         cfg = tmp_path / "trap.json"

@@ -15,6 +15,7 @@ from tomokit.objectives import Objective
 from tomokit.operators import MeasurementOperator
 from tomokit.solvers import (
     CONVERGED,
+    DESCENT_SLACK,
     EPS_EXHAUSTED,
     MAX_ITER,
     DegenerateStateError,
@@ -33,6 +34,15 @@ from tomokit.solvers import (
 )
 
 from conftest import conditioned_full_rank, maximally_mixed
+
+
+def halvings(trace, eps0):
+    """eps halvings of a shrink-only solve that started at eps0."""
+    return round(math.log2(eps0 / trace.eps_values[-1]))
+
+
+def default_eps(obj, rho0):
+    return StepPolicy().resolve_initial(float(np.linalg.norm(obj.gradient(rho0).entries)))
 
 
 def single_effect_operator():
@@ -230,6 +240,9 @@ class TestGmSolve:
             start = FactorState.from_density(start, 2)
         _, trace = solve(start, obj, StepPolicy(initial_eps=1e20), max_iter=50)
         assert trace.stop_reason == CONVERGED
+        # without momentum every trial is an accepted step or a halving
+        assert halvings(trace, 1e20) >= 68
+        assert trace.trials == trace.iterations + halvings(trace, 1e20)
 
     def test_max_iter_stop(self, homodyne10):
         obj = Objective(homodyne10, homodyne10.apply(random_density(10, 10, 17)), kind="nll")
@@ -381,6 +394,34 @@ class TestScaledFactorized:
             assert trace.stop_reason == CONVERGED
             assert validity_certificate(state.density(), obj).verdict == SPURIOUS
             assert trace_norm(state.density().entries - truth.entries) > 1e-2
+
+    def test_momentum_keeps_eps_shrink_only_and_descent(self, t2, homodyne_small):
+        # momentum trials that fail restart at the same eps instead of growing it;
+        # every restart shows as a trial beyond the accepted steps and halvings
+        cases = [(t2, 1, 2), (homodyne_small, 2, 4), (homodyne_small, 3, 4)]
+        restarts = []
+        for seed, (op, true_rank, start_rank) in enumerate(cases, start=60):
+            truth = random_density(op.dim, true_rank, seed)
+            start = random_density(op.dim, start_rank, seed + 10)
+            for kind in ("nll", "l2"):
+                obj = Objective(op, op.apply(truth), kind=kind)
+                state0 = FactorState.from_density(start, start_rank)
+                _, trace = fgd_solve(state0, obj, max_iter=3000, tol=1e-12, precondition=True)
+                assert np.diff(trace.eps_values).max() <= 0.0
+                assert np.diff(trace.objective_values).max() <= DESCENT_SLACK
+                eps0 = default_eps(obj, start)
+                restarts.append(trace.trials - trace.iterations - halvings(trace, eps0))
+        assert min(restarts) >= 0 and max(restarts) > 0
+
+    def test_zero_column_stays_zero_under_momentum(self, homodyne_small):
+        truth = random_density(4, 2, 70)
+        obj = Objective(homodyne_small, homodyne_small.apply(truth), kind="nll")
+        X = FactorState.from_density(random_density(4, 2, 71), 2).X
+        state0 = FactorState(np.hstack([X, np.zeros((4, 1), dtype=complex)]))
+        state, trace = fgd_solve(state0, obj, max_iter=300, precondition=True)
+        eps0 = default_eps(obj, state0.density())
+        assert trace.trials > trace.iterations + halvings(trace, eps0)
+        assert np.abs(state.X[:, 2]).max() == 0.0
 
 
 class TestPgdSolve:
