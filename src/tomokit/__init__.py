@@ -15,7 +15,6 @@ from .diagnostics import (
     construct_spurious_t2,
     m_set_residual,
     mu_exclusion,
-    subgradient_membership,
     validity_certificate,
 )
 from .hermitian import (

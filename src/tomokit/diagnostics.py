@@ -2,9 +2,9 @@
 
 A converged multiplicative iteration only certifies stationarity of the
 iteration map. The first-order test implemented here decides whether such a
-fixed point actually minimizes the objective over the trace-c PSD set: it
+fixed point actually minimizes the objective over the unit-trace PSD set: it
 checks that Q = grad F(rho) + lambda * I is positive semi-definite, with
-lambda = -tr(grad F(rho) rho) / c. Both the full-space eigenvalue summary and
+lambda = -tr(grad F(rho) rho). Both the full-space eigenvalue summary and
 the sharper restriction of Q to the kernel of rho are reported, since the
 rank deficiency of Q makes the full-space minimum eigenvalue noisy.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import DensityLike, HermitianMatrix, entries_of
+from .hermitian import DensityLike, entries_of
 from .objectives import Objective
 from .operators import MeasurementData, pauli_six_state
 
@@ -42,7 +42,6 @@ class ValidityCertificate:
     """First-order optimality summary at a candidate fixed point."""
 
     lam: float
-    Q: HermitianMatrix
     min_eig_Q: float
     min_eig_Q_restricted: float
     m_residual: float
@@ -72,26 +71,6 @@ def m_set_residual(rho, sigma) -> tuple[float, float]:
     lam = float((sigma_arr @ rho_arr).trace().real) / float(rho_arr.trace().real)
     defect = rho_arr @ sigma_arr - lam * rho_arr
     return lam, float(np.linalg.norm(defect)) / rho_norm
-
-
-def subgradient_membership(rho: DensityLike, M, tol: float = 1e-8) -> bool:
-    """Test membership of M in the normal-cone set {lam*I - Q : Q PSD on ker rho}.
-
-    lam is read off the block of M on the range of rho; membership then
-    requires Q = lam*I - M to annihilate rho and to be PSD within tol.
-    """
-    rho_arr = rho.entries
-    M_arr = entries_of(M)
-    vals, vecs = np.linalg.eigh(rho_arr)
-    range_vecs = vecs[:, vals > KERNEL_EIG_CUTOFF]
-    if range_vecs.shape[1] == 0:
-        raise ValueError("rho has empty numerical range")
-    block = range_vecs.conj().T @ M_arr @ range_vecs
-    lam = float(block.trace().real) / range_vecs.shape[1]
-    Q = lam * np.eye(rho.dim) - M_arr
-    if float(np.linalg.norm(Q @ rho_arr)) > tol:
-        return False
-    return bool(np.linalg.eigvalsh(Q)[0] >= -tol)
 
 
 def validity_certificate(rho: DensityLike, obj: Objective) -> ValidityCertificate:
@@ -127,7 +106,6 @@ def validity_certificate(rho: DensityLike, obj: Objective) -> ValidityCertificat
 
     return ValidityCertificate(
         lam=lam,
-        Q=HermitianMatrix(Q_arr),
         min_eig_Q=min_eig,
         min_eig_Q_restricted=min_eig_restricted,
         m_residual=residual,
@@ -135,19 +113,17 @@ def validity_certificate(rho: DensityLike, obj: Objective) -> ValidityCertificat
     )
 
 
-def mu_exclusion(rho: DensityLike, obj: Objective, c: float | None = None) -> float:
+def mu_exclusion(rho: DensityLike, obj: Objective) -> float:
     """The single step size at which a true solution stops being a fixed point.
 
-    Returns mu = c / tr(grad F(rho) rho); math.inf signals that no finite step
+    Returns mu = 1 / tr(grad F(rho) rho); math.inf signals that no finite step
     size is excluded (vanishing denominator, e.g. a perfect least-squares fit).
     """
-    if c is None:
-        c = rho.trace_target
     g = obj._gradient_arr(rho.entries)
     denom = float((g @ rho.entries).trace().real)
     if abs(denom) < np.finfo(float).tiny:
         return math.inf
-    return c / denom
+    return 1.0 / denom
 
 
 def construct_spurious_t2(t: float) -> tuple[DensityLike, MeasurementData, DensityLike]:

@@ -178,18 +178,28 @@ def _json_list(value, name: str) -> list:
     return list(value)
 
 
+def _json_number(value, name: str, kind=float):
+    """A numeric config field, converted by `kind` (float or int)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config field {name} must be a number, got {value!r}") from exc
+
+
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
     ensemble = _json_object(config.get("ensemble", {}), "ensemble")
     noise = _json_object(config.get("noise", {}), "noise")
+    ranks = _json_list(ensemble["ranks"], "ensemble.ranks")
+    count = ensemble.get("count_per_rank", 1)
     return ExperimentSpec(
         operator=config["operator"],
-        dim=int(ensemble["dim"]),
-        ranks=[int(r) for r in _json_list(ensemble["ranks"], "ensemble.ranks")],
-        count_per_rank=int(ensemble.get("count_per_rank", 1)),
-        noise_scale=float(noise.get("scale", 500.0)),
+        dim=_json_number(ensemble["dim"], "ensemble.dim", int),
+        ranks=[_json_number(r, "ensemble.ranks", int) for r in ranks],
+        count_per_rank=_json_number(count, "ensemble.count_per_rank", int),
+        noise_scale=_json_number(noise.get("scale", 500.0), "noise.scale"),
         noise_enabled=bool(noise.get("enabled", True)),
         solvers=_json_list(config.get("solvers", []), "solvers"),
-        seed=int(config.get("seed", 0) if seed is None else seed),
+        seed=_json_number(config.get("seed", 0) if seed is None else seed, "seed", int),
         output_dir=str(config.get("output_dir", ".") if output_dir is None else output_dir),
     )
 
@@ -300,7 +310,7 @@ def records_to_json(records: list[RunRecord], path, config: dict | None = None) 
 
 def solver_id_of(cfg: dict) -> str:
     rank = cfg.get("rank")
-    rank_tag = "full" if rank is None else f"r{int(rank)}"
+    rank_tag = "full" if rank is None else f"r{_json_number(rank, 'rank', int)}"
     return f"{cfg.get('solver', 'gm')}-{cfg.get('fit', 'nll')}-{rank_tag}"
 
 
@@ -320,16 +330,17 @@ def run_solver_config(
     """
     kind = cfg.get("solver", "gm")
     obj = Objective(operator, data, kind=cfg.get("fit", "nll"))
-    tol = float(cfg.get("tol", 1e-10))
-    max_iter = int(cfg.get("max_iter", 20000))
+    tol = _json_number(cfg.get("tol", 1e-10), "tol")
+    max_iter = _json_number(cfg.get("max_iter", 20000), "max_iter", int)
     rank = cfg.get("rank")
     N = operator.dim
 
     if rank is None:
         rho0 = DensityLike.from_array(np.eye(N, dtype=complex) / N)
     else:
-        rank = int(rank)
-        rho0 = random_density(N, rank, derive_seed(int(cfg.get("seed", 0)), instance_seed))
+        rank = _json_number(rank, "rank", int)
+        seed = _json_number(cfg.get("seed", 0), "seed", int)
+        rho0 = random_density(N, rank, derive_seed(seed, instance_seed))
 
     if kind == "pgd":
         return pgd_solve(rho0, obj, max_iter=max_iter, tol=tol), None, obj
@@ -391,6 +402,8 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     solver_cfgs = _json_list(solver_cfgs, "solvers")
     solver_cfgs = [_json_object(cfg, f"solvers[{i}]") for i, cfg in enumerate(solver_cfgs)]
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle")
+    oracle_max_iter = _json_number(oracle_cfg.get("max_iter", 20000), "oracle.max_iter", int)
+    oracle_tol = _json_number(oracle_cfg.get("tol", 1e-10), "oracle.tol")
 
     records = []
     for index, entry in enumerate(manifest["instances"]):
@@ -418,9 +431,7 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
                 if key not in oracle_cache:
                     mixed = np.eye(operator.dim, dtype=complex) / operator.dim
                     oracle_cache[key] = pgd_solve(
-                        DensityLike.from_array(mixed), obj,
-                        max_iter=int(oracle_cfg.get("max_iter", 20000)),
-                        tol=float(oracle_cfg.get("tol", 1e-10)),
+                        DensityLike.from_array(mixed), obj, max_iter=oracle_max_iter, tol=oracle_tol
                     )
                 oracle_distance = trace_norm(final.entries - oracle_cache[key].entries)
 
@@ -459,10 +470,10 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     """
     operator = operator_from_descriptor(config["operator"])
     N = operator.dim
-    true_rank = int(config.get("true_rank", 5))
-    count = int(config.get("count", 10))
+    true_rank = _json_number(config.get("true_rank", 5), "true_rank", int)
+    count = _json_number(config.get("count", 10), "count", int)
     start_ranks = _json_list(config.get("start_ranks", list(range(1, N + 1))), "start_ranks")
-    start_ranks = [int(r) for r in start_ranks]
+    start_ranks = [_json_number(r, "start_ranks", int) for r in start_ranks]
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     for r in start_ranks:
@@ -470,9 +481,9 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
             raise ValueError(f"start rank {r} outside [1, {N}]")
     fit = config.get("fit", "nll")
     solver_cfg = _json_object(config.get("solver", {}), "solver")
-    tol = float(solver_cfg.get("tol", 1e-12))
-    max_iter = int(solver_cfg.get("max_iter", 20000))
-    seed = int(config.get("seed", 0))
+    tol = _json_number(solver_cfg.get("tol", 1e-12), "solver.tol")
+    max_iter = _json_number(solver_cfg.get("max_iter", 20000), "solver.max_iter", int)
+    seed = _json_number(config.get("seed", 0), "seed", int)
 
     records = []
     by_start_rank: dict[int, list[RunRecord]] = {r: [] for r in start_ranks}

@@ -1,4 +1,5 @@
-"""Dense complex Hermitian matrix algebra for small dimensions (N <~ 100).
+"""Dense complex Hermitian matrices and unit-trace density matrices for small
+dimensions (N <~ 100).
 
 Everything here is a pure function over immutable values; instances are
 safe to share between threads.
@@ -7,7 +8,6 @@ safe to share between threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,28 +62,23 @@ class HermitianMatrix:
 
 @dataclass(frozen=True)
 class DensityLike:
-    """A Hermitian matrix certified positive semi-definite with a fixed trace."""
+    """A Hermitian matrix certified positive semi-definite with unit trace."""
 
     matrix: HermitianMatrix
-    trace_target: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.matrix, HermitianMatrix):
             object.__setattr__(self, "matrix", HermitianMatrix(self.matrix))
-        c = float(self.trace_target)
-        if not 0 < c < math.inf:
-            raise ValueError(f"trace_target must be positive and finite, got {c}")
-        object.__setattr__(self, "trace_target", c)
         tr = self.matrix.trace()
-        if abs(tr - c) > TRACE_RTOL * c:
-            raise ValueError(f"trace {tr!r} deviates from target {c!r}")
+        if abs(tr - 1.0) > TRACE_RTOL:
+            raise ValueError(f"trace {tr!r} deviates from 1")
         min_eig = float(np.linalg.eigvalsh(self.matrix.entries)[0])
         if min_eig < -PSD_EIG_TOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")
 
     @classmethod
-    def from_array(cls, entries, trace_target: float = 1.0) -> "DensityLike":
-        return cls(HermitianMatrix(entries), trace_target)
+    def from_array(cls, entries) -> "DensityLike":
+        return cls(HermitianMatrix(entries))
 
     @property
     def entries(self) -> np.ndarray:
@@ -99,34 +94,32 @@ def trace_norm(A) -> float:
     return float(np.abs(np.linalg.eigvalsh(entries_of(A))).sum())
 
 
-def _project_to_scaled_simplex(v: np.ndarray, c: float) -> np.ndarray:
-    """Euclidean projection of a real vector onto {x >= 0, sum(x) = c}."""
+def _project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto {x >= 0, sum(x) = 1}."""
     u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - c
+    shifted = np.cumsum(u) - 1.0
     counts = np.arange(1, v.size + 1)
     k = counts[u - shifted / counts > 0][-1]
     tau = shifted[k - 1] / k
     return np.maximum(v - tau, 0.0)
 
 
-def _project_density_arr(arr: np.ndarray, c: float) -> np.ndarray:
+def _project_density_arr(arr: np.ndarray) -> np.ndarray:
     arr = 0.5 * (arr + arr.conj().T)
     vals, vecs = np.linalg.eigh(arr)
-    projected = _project_to_scaled_simplex(vals, c)
+    projected = _project_to_simplex(vals)
     out = (vecs * projected) @ vecs.conj().T
     return 0.5 * (out + out.conj().T)
 
 
-def project_to_density(H, c: float = 1.0) -> DensityLike:
-    """Frobenius-nearest PSD matrix with trace c.
+def project_to_density(H) -> DensityLike:
+    """Frobenius-nearest PSD matrix with unit trace.
 
     Eigendecomposes and projects the spectrum onto the simplex
-    {lambda >= 0, sum(lambda) = c}; by unitary invariance this is the exact
+    {lambda >= 0, sum(lambda) = 1}; by unitary invariance this is the exact
     metric projection.
     """
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c}")
-    return DensityLike.from_array(_project_density_arr(entries_of(H), c), c)
+    return DensityLike.from_array(_project_density_arr(entries_of(H)))
 
 
 def random_density(N: int, r: int, seed: int) -> DensityLike:
@@ -138,7 +131,7 @@ def random_density(N: int, r: int, seed: int) -> DensityLike:
     rho = X @ X.conj().T
     rho /= rho.trace().real
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityLike.from_array(rho, 1.0)
+    return DensityLike.from_array(rho)
 
 
 def random_hermitian(N: int, seed: int, scale: float = 1.0) -> HermitianMatrix:

@@ -1,4 +1,4 @@
-"""Convex data-fit functionals on the trace-c PSD cone, with exact gradients.
+"""Convex data-fit functionals on the unit-trace PSD set, with exact gradients.
 
 Gradients use the real inner product <A, B> = tr(A B) on Hermitian matrices,
 so tr(gradient(rho) @ Delta) is the directional derivative along Delta.

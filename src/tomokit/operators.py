@@ -255,4 +255,6 @@ def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
             )
         except KeyError as exc:
             raise ValueError(f"homodyne descriptor missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed homodyne descriptor: {exc}") from exc
     raise ValueError(f"unknown operator kind {kind!r}")

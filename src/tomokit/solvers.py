@@ -1,6 +1,6 @@
-"""Fixed-point iterations on the trace-c PSD cone and their factorized forms.
+"""Fixed-point iterations on the unit-trace PSD set and their factorized forms.
 
-The multiplicative family updates rho -> c * A rho A / tr(A rho A) with
+The multiplicative family updates rho -> A rho A / tr(A rho A) with
 A = I - eps * grad F(rho); the factorized form updates an N x r factor X with
 rho = X X* and reproduces the full iteration step for step when r = N. A
 projected-gradient solver serves as the independent reference for the convex
@@ -90,10 +90,9 @@ class SolverTrace:
 
 @dataclass(frozen=True)
 class FactorState:
-    """An N x r factor X with ||X||_F = sqrt(c), representing rho = X X*."""
+    """An N x r factor X with ||X||_F = 1, representing the unit-trace rho = X X*."""
 
     X: np.ndarray
-    trace_target: float = 1.0
 
     def __post_init__(self):
         arr = np.array(self.X, dtype=np.complex128)
@@ -101,15 +100,11 @@ class FactorState:
             raise ValueError(f"factor must be a 2-D array, got shape {arr.shape}")
         if arr.shape[1] > arr.shape[0]:
             raise ValueError(f"rank {arr.shape[1]} exceeds dimension {arr.shape[0]}")
-        c = float(self.trace_target)
-        if not 0 < c < math.inf:
-            raise ValueError(f"trace_target must be positive and finite, got {c}")
         norm_sq = float(np.linalg.norm(arr) ** 2)
-        if not abs(norm_sq - c) <= 1e-9 * c:
-            raise ValueError(f"||X||_F^2 = {norm_sq!r} deviates from trace target {c!r}")
+        if not abs(norm_sq - 1.0) <= 1e-9:
+            raise ValueError(f"||X||_F^2 = {norm_sq!r} deviates from 1")
         arr.setflags(write=False)
         object.__setattr__(self, "X", arr)
-        object.__setattr__(self, "trace_target", c)
 
     @property
     def dim(self) -> int:
@@ -120,7 +115,7 @@ class FactorState:
         return self.X.shape[1]
 
     def density(self) -> DensityLike:
-        return DensityLike.from_array(_outer(self.X), self.trace_target)
+        return DensityLike.from_array(_outer(self.X))
 
     @classmethod
     def from_density(cls, rho: DensityLike, rank: int) -> "FactorState":
@@ -133,8 +128,7 @@ class FactorState:
         norm = np.linalg.norm(X)
         if norm == 0.0:
             raise DegenerateStateError("state has no mass on the requested rank")
-        X = X * (np.sqrt(rho.trace_target) / norm)
-        return cls(X, rho.trace_target)
+        return cls(X * (1.0 / norm))
 
 
 # --- single steps ------------------------------------------------------------
@@ -144,64 +138,61 @@ def _sandwich(A: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.conj().T)
 
 
-def _mle_step_arr(rho: np.ndarray, obj: Objective, c: float) -> np.ndarray:
+def _mle_step_arr(rho: np.ndarray, obj: Objective) -> np.ndarray:
     # The nll reweighting operator R is -grad F; the sandwich is even in it.
     S = _sandwich(obj._gradient_arr(rho), rho)
     t = float(S.trace().real)
     if t < _TRACE_FLOOR:
         raise DegenerateStateError(f"sandwich trace {t!r} vanished")
-    return (c / t) * S
+    return (1.0 / t) * S
 
 
 def mle_step(rho: DensityLike, obj: Objective) -> DensityLike:
     """One multiplicative likelihood update R(rho) rho R(rho) / tr(...)."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the multiplicative likelihood step requires the nll objective")
-    c = rho.trace_target
-    return DensityLike.from_array(_mle_step_arr(rho.entries, obj, c), c)
+    return DensityLike.from_array(_mle_step_arr(rho.entries, obj))
 
 
-def _gm_step_arr(rho: np.ndarray, g: np.ndarray, eps: float, c: float) -> np.ndarray:
+def _gm_step_arr(rho: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
     A = (-eps) * g
     A.flat[:: rho.shape[0] + 1] += 1.0
     S = _sandwich(A, rho)
     t = float(S.trace().real)
     if t < _TRACE_FLOOR:
         raise DegenerateStateError(f"step normalizer {t!r} vanished at eps={eps!r}")
-    return (c / t) * S
+    return (1.0 / t) * S
 
 
-def gm_step(rho: DensityLike, g, eps: float, c: float | None = None) -> DensityLike:
+def gm_step(rho: DensityLike, g, eps: float) -> DensityLike:
     """One gradient-multiplication update with A = I - eps * g."""
-    if c is None:
-        c = rho.trace_target
-    return DensityLike.from_array(_gm_step_arr(rho.entries, entries_of(g), eps, c), c)
+    return DensityLike.from_array(_gm_step_arr(rho.entries, entries_of(g), eps))
 
 
-def _renormalized(half: np.ndarray, eps: float, c: float) -> np.ndarray:
+def _renormalized(half: np.ndarray, eps: float) -> np.ndarray:
     norm = np.linalg.norm(half)
     if norm < math.sqrt(_TRACE_FLOOR):
         raise DegenerateStateError(f"factor norm {norm!r} vanished at eps={eps!r}")
-    return half * (np.sqrt(c) / norm)
+    return half * (1.0 / norm)
 
 
-def _fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, c: float) -> np.ndarray:
-    return _renormalized(X - eps * (g @ X), eps, c)
+def _fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
+    return _renormalized(X - eps * (g @ X), eps)
 
 
-def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, c: float) -> np.ndarray:
+def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
     """Preconditioned step X - eps * G X (X* X + lam I)^-1 with the Lagrangian-shifted
-    gradient G = g - (tr(X* g X) / c) I and lam = ||G X||_F, renormalized."""
+    gradient G = g - tr(X* g X) I and lam = ||G X||_F, renormalized."""
     GX = g @ X
-    GX -= (np.vdot(X, GX).real / c) * X
+    GX -= np.vdot(X, GX).real * X
     lam = np.linalg.norm(GX)
     if lam == 0.0:
         # No descent direction; X* X alone is singular for a factor with a zero column.
-        return _renormalized(X, eps, c)
+        return _renormalized(X, eps)
     P = X.conj().T @ X
     P.flat[:: P.shape[0] + 1] += lam
     # G X P^-1 = (P^-T (G X)^T)^T, one solve for all rows.
-    return _renormalized(X - eps * np.linalg.solve(P.T, GX.T).T, eps, c)
+    return _renormalized(X - eps * np.linalg.solve(P.T, GX.T).T, eps)
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -209,12 +200,10 @@ def _outer(X: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def fgd_step(state: FactorState, obj: Objective, eps: float, c: float | None = None) -> FactorState:
+def fgd_step(state: FactorState, obj: Objective, eps: float) -> FactorState:
     """One factorized descent update X - eps * grad F(X X*) X, renormalized."""
-    if c is None:
-        c = state.trace_target
     g = obj._gradient_arr(_outer(state.X))
-    return FactorState(_fgd_apply_arr(state.X, g, eps, c), c)
+    return FactorState(_fgd_apply_arr(state.X, g, eps))
 
 
 def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
@@ -227,18 +216,17 @@ def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
     norm = np.linalg.norm(nxt)
     if norm < math.sqrt(_TRACE_FLOOR):
         raise DegenerateStateError("factor annihilated by the reweighting operator")
-    return FactorState(nxt * (np.sqrt(state.trace_target) / norm), state.trace_target)
+    return FactorState(nxt * (1.0 / norm))
 
 
 # --- full solves -------------------------------------------------------------
 
-def _psd_hygiene(arr: np.ndarray, c: float) -> np.ndarray:
+def _psd_hygiene(arr: np.ndarray) -> np.ndarray:
     """Zero out near-kernel eigenvalues of a full-matrix iterate."""
     vals, vecs = np.linalg.eigh(arr)
-    cut = _KERNEL_CLIP * c
-    if vals[0] >= cut:
+    if vals[0] >= _KERNEL_CLIP:
         return arr
-    vals = np.where(vals < cut, 0.0, vals)
+    vals = np.where(vals < _KERNEL_CLIP, 0.0, vals)
     out = (vecs * vals) @ vecs.conj().T
     return 0.5 * (out + out.conj().T)
 
@@ -356,7 +344,6 @@ def gm_solve(
     certificate on the result to tell the two apart.
     """
     policy = policy or StepPolicy()
-    c = rho0.trace_target
     final, trace = _line_searched_solve(
         np.array(rho0.entries),
         obj,
@@ -364,12 +351,12 @@ def gm_solve(
         max_iter,
         tol,
         density_of=lambda arr: arr,
-        step_fn=lambda arr, g, eps: _psd_hygiene(_gm_step_arr(arr, g, eps, c), c),
+        step_fn=lambda arr, g, eps: _psd_hygiene(_gm_step_arr(arr, g, eps)),
         keep_trace=keep_trace,
     )
     if keep_trace:
-        trace.iterates_kept = [DensityLike.from_array(arr, c) for arr in trace.iterates_kept]
-    return DensityLike.from_array(final, c), trace
+        trace.iterates_kept = [DensityLike.from_array(arr) for arr in trace.iterates_kept]
+    return DensityLike.from_array(final), trace
 
 
 def fgd_solve(
@@ -387,7 +374,7 @@ def fgd_solve(
 
     precondition=True takes the scaled step
     X <- normalize(X - eps * G X (X* X + lam I)^-1), where
-    G X = grad F X - (tr(X* grad F X) / c) X is the gradient of the Lagrangian
+    G X = grad F X - tr(X* grad F X) X is the gradient of the Lagrangian
     (its fixed points are the KKT points) and lam = ||G X||_F. The right
     preconditioner restores a linear rate when r exceeds the rank of the
     minimizer, where the plain step converges only at O(1/t). Its step
@@ -404,16 +391,15 @@ def fgd_solve(
     and stalls where the plain step converges.
     """
     policy = policy or StepPolicy()
-    c = state0.trace_target
     step_fn, certify, extrapolate = _fgd_apply_arr, None, None
     if precondition:
         step_fn = _scaled_fgd_apply_arr
 
         def extrapolate(plain: np.ndarray, momentum: np.ndarray, eps: float) -> np.ndarray:
-            return _renormalized(plain + momentum, eps, c)
+            return _renormalized(plain + momentum, eps)
 
         def certify(rho: np.ndarray) -> bool:
-            return validity_certificate(DensityLike.from_array(rho, c), obj).verdict == VALID
+            return validity_certificate(DensityLike.from_array(rho), obj).verdict == VALID
 
     final, trace = _line_searched_solve(
         np.array(state0.X),
@@ -422,11 +408,11 @@ def fgd_solve(
         max_iter,
         tol,
         density_of=_outer,
-        step_fn=lambda X, g, eps: step_fn(X, g, eps, c),
+        step_fn=step_fn,
         certify=certify,
         extrapolate=extrapolate,
     )
-    return FactorState(final, c), trace
+    return FactorState(final), trace
 
 
 def mle_solve(
@@ -438,12 +424,11 @@ def mle_solve(
     """Plain multiplicative likelihood iteration (no step size, no descent guarantee)."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("mle_solve requires the nll objective")
-    c = rho0.trace_target
     rho = np.array(rho0.entries)
     trace = SolverTrace(objective_values=[obj._value_arr(rho)])
 
     for _ in range(max_iter):
-        nxt = _psd_hygiene(_mle_step_arr(rho, obj, c), c)
+        nxt = _psd_hygiene(_mle_step_arr(rho, obj))
         trace.trials += 1
         residual = trace_norm(nxt - rho)
         rho = nxt
@@ -456,7 +441,7 @@ def mle_solve(
     else:
         trace.stop_reason = MAX_ITER
 
-    return DensityLike.from_array(rho, c), trace
+    return DensityLike.from_array(rho), trace
 
 
 def pgd_solve(
@@ -465,7 +450,7 @@ def pgd_solve(
     max_iter: int = 20000,
     tol: float = 1e-11,
 ) -> DensityLike:
-    """Projected gradient descent onto the trace-c PSD set (reference oracle).
+    """Projected gradient descent onto the unit-trace PSD set (reference oracle).
 
     Iterates are project(rho - step * grad F(rho)) with backtracking on
     objective increase; the trial step length is chosen spectrally from the
@@ -473,7 +458,6 @@ def pgd_solve(
     the trace-norm step translate into a comparably tight first-order
     optimality residual.
     """
-    c = rho0.trace_target
     policy = StepPolicy(min_eps=1e-18)
     final, _trace = _line_searched_solve(
         np.array(rho0.entries),
@@ -482,7 +466,7 @@ def pgd_solve(
         max_iter,
         tol,
         density_of=lambda arr: arr,
-        step_fn=lambda arr, g, s: _project_density_arr(arr - s * g, c),
+        step_fn=lambda arr, g, s: _project_density_arr(arr - s * g),
         next_eps=_barzilai_borwein,
     )
-    return DensityLike.from_array(final, c)
+    return DensityLike.from_array(final)

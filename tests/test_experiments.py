@@ -420,6 +420,40 @@ class TestCli:
         assert main(argv) == 1
         assert "must be a JSON list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("rank-trap", {"count": [1]}, "count must be a number"),
+            ("rank-trap", {"count": math.inf}, "count must be a number"),
+            ("rank-trap", {"seed": None}, "seed must be a number"),
+            ("rank-trap", {"solver": {"tol": {}}}, "solver.tol must be a number"),
+            (
+                "rank-trap",
+                {"operator": {"kind": "homodyne", "dim": [2], "angles": [0], "bin_edges": [0, 1]}},
+                "malformed homodyne descriptor",
+            ),
+            ("generate", {"seed": {}}, "seed must be a number"),
+            ("generate", {"ensemble": {"dim": 2, "ranks": [[1]]}}, "ranks must be a number"),
+            ("reconstruct", {"solvers": [{"max_iter": [5]}]}, "max_iter must be a number"),
+        ],
+        ids=[
+            "rank-trap-count", "rank-trap-count-inf", "rank-trap-seed", "rank-trap-tol",
+            "rank-trap-homodyne-dim", "generate-seed", "generate-ranks", "reconstruct-max-iter",
+        ],
+    )
+    def test_rejects_non_number_config_fields(self, command, config, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}}
+        if command == "reconstruct":
+            generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+            argv += ["--dataset", str(tmp_path / "data")]
+        else:
+            config = {**spec, **config}
+        cfg.write_text(json.dumps(config))
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     def test_rank_trap_requires_operator(self, tmp_path, capsys):
         cfg = tmp_path / "trap.json"
         cfg.write_text(
@@ -475,12 +509,10 @@ NON_FINITE_ENTRY_POINTS = {
     "HermitianMatrix": lambda tmp, v: HermitianMatrix(np.diag([v, 0.5])),
     "HermitianMatrix_offdiagonal": lambda tmp, v: HermitianMatrix(np.array([[0.5, v], [v, 0.5]])),
     "DensityLike": lambda tmp, v: DensityLike.from_array(np.diag([v, 0.5])),
-    "DensityLike_trace_target": lambda tmp, v: DensityLike.from_array(np.eye(2) / 2, v),
     "MeasurementOperator": lambda tmp, v: _bad_effects(v),
     "homodyne_angles": lambda tmp, v: homodyne_operator(2, [0.0, v], [0.0, 1.0]),
     "homodyne_bin_edges": lambda tmp, v: homodyne_operator(2, [0.0], [0.0, 1.0, v]),
     "FactorState": lambda tmp, v: FactorState(np.array([[v], [0.0]])),
-    "FactorState_trace_target": lambda tmp, v: FactorState(np.array([[1.0], [0.0]]), v),
     "load_csv": _load_bad_csv,
     "load_matrix": _load_bad_matrix,
 }

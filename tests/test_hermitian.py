@@ -54,10 +54,6 @@ class TestDensityLike:
         with pytest.raises(ValueError, match="trace"):
             DensityLike.from_array(np.diag([0.7, 0.7]))
 
-    def test_trace_target_scaling(self):
-        rho = DensityLike.from_array(np.diag([1.2, 0.8]), trace_target=2.0)
-        assert rho.trace_target == 2.0
-
 
 class TestTraceNorm:
     def test_zero(self):
@@ -95,15 +91,15 @@ class TestClosedFormPreimage:
 class TestProjectToDensity:
     def test_fixes_members(self):
         rho = random_density(5, 3, 3)
-        proj = project_to_density(rho.matrix, 1.0)
+        proj = project_to_density(rho.matrix)
         assert np.linalg.norm(proj.entries - rho.entries) < 1e-12
 
     def test_single_active_constraint(self):
-        proj = project_to_density(np.diag([2.0, 0.0]), 1.0)
+        proj = project_to_density(np.diag([2.0, 0.0]))
         assert np.allclose(proj.entries, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_symmetric_shift(self):
-        proj = project_to_density(np.diag([0.6, 0.6]), 1.0)
+        proj = project_to_density(np.diag([0.6, 0.6]))
         assert np.allclose(proj.entries, np.diag([0.5, 0.5]), atol=1e-14)
 
     def test_idempotent_and_nonexpansive(self):
@@ -111,9 +107,9 @@ class TestProjectToDensity:
         for _ in range(50):
             A = random_hermitian(4, int(rng.integers(1 << 31)))
             B = random_hermitian(4, int(rng.integers(1 << 31)))
-            pa = project_to_density(A, 1.0)
-            pb = project_to_density(B, 1.0)
-            again = project_to_density(pa.matrix, 1.0)
+            pa = project_to_density(A)
+            pb = project_to_density(B)
+            again = project_to_density(pa.matrix)
             assert np.linalg.norm(again.entries - pa.entries) < 1e-12
             assert (
                 np.linalg.norm(pa.entries - pb.entries)

@@ -250,16 +250,6 @@ class TestGmSolve:
         assert trace.stop_reason == MAX_ITER
         assert trace.iterations == 5
 
-    def test_scaled_trace_target_homogeneity(self, homodyne10):
-        truth = random_density(10, 7, 18)
-        y = homodyne10.apply(truth)
-        obj1 = Objective(homodyne10, y, kind="l2")
-        obj2 = Objective(homodyne10, 2.0 * y, kind="l2")
-        one = pgd_solve(maximally_mixed(10), obj1, max_iter=20000, tol=1e-13)
-        start2 = DensityLike.from_array(2.0 * np.eye(10) / 10.0, trace_target=2.0)
-        two = pgd_solve(start2, obj2, max_iter=20000, tol=1e-13)
-        assert trace_norm(two.entries - 2.0 * one.entries) < 1e-8
-
 
 class TestFactorized:
     def test_zero_gradient_keeps_factor(self, t2):
@@ -347,7 +337,7 @@ class TestScaledFactorized:
         X = FactorState.from_density(rho_fix, 1).X
         g = obj._gradient_arr(_outer(X))
         for eps in (0.1, 0.5):
-            out = _scaled_fgd_apply_arr(X, g, eps, 1.0)
+            out = _scaled_fgd_apply_arr(X, g, eps)
             assert trace_norm(_outer(out) - _outer(X)) < 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 8.0 / 11.0])
@@ -361,7 +351,7 @@ class TestScaledFactorized:
         for obj in (Objective(t2, data, kind="nll"), Objective(t2, own, kind="l2")):
             g = obj._gradient_arr(_outer(X))
             for eps in (0.1, 0.5):
-                out = _scaled_fgd_apply_arr(X, g, eps, 1.0)
+                out = _scaled_fgd_apply_arr(X, g, eps)
                 assert trace_norm(_outer(out) - _outer(X)) < 1e-12
                 assert np.abs(out[:, 1]).max() == 0.0
         state, trace = fgd_solve(FactorState(X), obj, max_iter=50, precondition=True)
