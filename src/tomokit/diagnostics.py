@@ -82,13 +82,17 @@ def validity_certificate(rho: DensityLike, obj: Objective) -> ValidityCertificat
     KERNEL_EIG_CUTOFF, within RESTRICTED_PSD_TOL), else spurious.
     The restricted minimum is +inf when rho has no numerical kernel.
     """
-    g = obj._gradient_arr(rho.entries)
-    lam, residual = m_set_residual(rho.entries, -g)
-    Q_arr = g + lam * np.eye(rho.dim)
+    return _certificate(rho.entries, obj._gradient_arr(rho.entries))
+
+
+def _certificate(rho: np.ndarray, g: np.ndarray) -> ValidityCertificate:
+    """validity_certificate of the density array rho, given its gradient g."""
+    lam, residual = m_set_residual(rho, -g)
+    Q_arr = g + lam * np.eye(rho.shape[0])
     Q_arr = 0.5 * (Q_arr + Q_arr.conj().T)
     min_eig = float(np.linalg.eigvalsh(Q_arr)[0])
 
-    vals, vecs = np.linalg.eigh(rho.entries)
+    vals, vecs = np.linalg.eigh(rho)
     kernel_vecs = vecs[:, vals < KERNEL_EIG_CUTOFF]
     if kernel_vecs.shape[1] == 0:
         min_eig_restricted = math.inf

@@ -178,12 +178,23 @@ def _json_list(value, name: str) -> list:
     return list(value)
 
 
+def _json_bool(value, name: str) -> bool:
+    """A flag config field, which must be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ValueError(f"config field {name} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _json_number(value, name: str, kind=float):
-    """A numeric config field, converted by `kind` (float or int)."""
+    """A numeric config field, converted by `kind` (float or int); an int field
+    rejects a non-integral value instead of truncating it."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config field {name} must be a number, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(f"config field {name} must be an integer, got {value!r}")
+    return number
 
 
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
@@ -197,7 +208,7 @@ def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> Experimen
         ranks=[_json_number(r, "ensemble.ranks", int) for r in ranks],
         count_per_rank=_json_number(count, "ensemble.count_per_rank", int),
         noise_scale=_json_number(noise.get("scale", 500.0), "noise.scale"),
-        noise_enabled=bool(noise.get("enabled", True)),
+        noise_enabled=_json_bool(noise.get("enabled", True), "noise.enabled"),
         solvers=_json_list(config.get("solvers", []), "solvers"),
         seed=_json_number(config.get("seed", 0) if seed is None else seed, "seed", int),
         output_dir=str(config.get("output_dir", ".") if output_dir is None else output_dir),
@@ -461,12 +472,12 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     with momentum and its certificate stop (see fgd_solve), so `tol` in the
     `solver` block does not set the accuracy of a start at or above the true
     rank: it stops once validity_certificate passes (m_residual <= 1e-8). At
-    the criterion-09 config a start takes a median of 175-200 iterations at
-    r >= 5 and 364-520 below, and r >= 5 ends within 1.5e-8 trace distance of
-    the truth (plain FGD at tol 1e-12: about 6e-10). Returns the run records
-    plus a per-start-rank summary with median trace distance, median
-    kernel-restricted minimum eigenvalue, spurious fraction and median
-    iteration count.
+    the criterion-09 config a start takes a median of 100-125 iterations at
+    r >= 5 and 184-396 below, and r >= 5 ends within 2e-8 trace distance of
+    the truth, 4.5e-10 in the median (plain FGD at tol 1e-12: about 6e-10).
+    Returns the run records plus a per-start-rank summary with median trace
+    distance, median kernel-restricted minimum eigenvalue, spurious fraction
+    and median iteration count.
     """
     operator = operator_from_descriptor(config["operator"])
     N = operator.dim

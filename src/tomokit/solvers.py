@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .diagnostics import VALID, validity_certificate
+from .diagnostics import VALID, _certificate
 from .hermitian import DensityLike, _project_density_arr, entries_of, trace_norm
 from .objectives import NEG_LOG_LIKELIHOOD, Objective
 
@@ -31,9 +31,6 @@ _TRACE_FLOOR = 1e-300
 
 # Accepted steps between two certificate checks of a certified solve.
 CERTIFY_EVERY = 25
-
-# Upper bound on the momentum weight k / (k + 3) of an extrapolated solve.
-MOMENTUM_CAP = 0.9
 
 # The sandwich map amplifies kernel rounding dirt (of either sign) by up to
 # ||A||^2 per step; zeroing eigenvalues this far below the trace scale keeps
@@ -74,13 +71,15 @@ class StepPolicy:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration bookkeeping for a solve; `trials` counts every trial step taken."""
+    """Per-iteration bookkeeping for a solve; `trials` counts every trial step taken
+    and `restarts` every momentum restart, after a failed trial or from the gradient."""
 
     objective_values: list[float] = field(default_factory=list)
     eps_values: list[float] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     stop_reason: str = MAX_ITER
     trials: int = 0
+    restarts: int = 0
     iterates_kept: list | None = None
 
     @property
@@ -180,11 +179,18 @@ def _fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
     return _renormalized(X - eps * (g @ X), eps)
 
 
-def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-    """Preconditioned step X - eps * G X (X* X + lam I)^-1 with the Lagrangian-shifted
-    gradient G = g - tr(X* g X) I and lam = ||G X||_F, renormalized."""
+def _shifted_gradient(X: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The factor gradient G X of the Lagrangian, G = g - tr(X* g X) I."""
     GX = g @ X
     GX -= np.vdot(X, GX).real * X
+    return GX
+
+
+def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, GX=None) -> np.ndarray:
+    """Preconditioned step X - eps * G X (X* X + lam I)^-1 with the Lagrangian-shifted
+    gradient G X (computed from X and g unless given) and lam = ||G X||_F, renormalized."""
+    if GX is None:
+        GX = _shifted_gradient(X, g)
     lam = np.linalg.norm(GX)
     if lam == 0.0:
         # No descent direction; X* X alone is singular for a factor with a zero column.
@@ -250,6 +256,7 @@ def _line_searched_solve(
     next_eps=None,
     certify=None,
     extrapolate=None,
+    restart=None,
     keep_trace: bool = False,
 ):
     """Shared backtracking descent loop for every line-searched iteration.
@@ -260,11 +267,13 @@ def _line_searched_solve(
     last density and gradient changes; without it eps carries over.
     keep_trace keeps the raw states.
     A raised DegenerateStateError counts as a failed trial and shrinks eps.
-    `certify(rho)`, when given, is asked every CERTIFY_EVERY accepted steps
-    whether the density array rho passes the validity certificate; a pass
-    stops the solve as converged.
-    `extrapolate(plain, momentum, eps)`, when given, adds momentum to the plain
-    step as fgd_solve describes; only failed plain trials shrink eps.
+    `certify(rho, g)`, when given, is asked every CERTIFY_EVERY accepted steps
+    whether the density array rho with gradient g passes the validity
+    certificate; a pass stops the solve as converged.
+    `extrapolate(plain, momentum, eps)` and `restart(state, prev, g)`, given
+    together, add momentum to the plain step as fgd_solve describes: restart
+    is asked after every accepted step, with the gradient g at the new state,
+    whether to drop the momentum; only failed plain trials shrink eps.
     """
     rho = density_of(state)
     p = obj._forward_arr(rho)
@@ -286,7 +295,7 @@ def _line_searched_solve(
                     plain = step_fn(state, g, eps)
                 candidate = plain
                 if k:
-                    momentum = min(k / (k + 3), MOMENTUM_CAP) * (state - prev)
+                    momentum = (k / (k + 3)) * (state - prev)
                     candidate = extrapolate(plain, momentum, eps)
                 rho_cand = density_of(candidate)
                 p_cand = obj._forward_arr(rho_cand)
@@ -297,6 +306,7 @@ def _line_searched_solve(
                 break
             if k and plain is not None:
                 k = 0  # restart: retry the plain step at the same eps
+                trace.restarts += 1
                 continue
             plain = None
             eps *= policy.shrink
@@ -307,18 +317,21 @@ def _line_searched_solve(
         d_rho = rho_cand - rho
         residual = trace_norm(d_rho)
         prev, state, rho, f = state, candidate, rho_cand, f_cand
+        g_new = obj._gradient_from(p_cand)
         k += extrapolate is not None
+        if k and restart(state, prev, g_new):
+            k = 0
+            trace.restarts += 1
         trace.objective_values.append(f)
         trace.eps_values.append(eps)
         trace.residuals.append(residual)
         if keep_trace:
             trace.iterates_kept.append(state)
         if residual < tol or (
-            certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho)
+            certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho, g_new)
         ):
             trace.stop_reason = CONVERGED
             break
-        g_new = obj._gradient_from(p_cand)
         if next_eps is not None:
             eps = next_eps(eps, d_rho, g_new - g)
         g = g_new
@@ -383,23 +396,36 @@ def fgd_solve(
     CERTIFY_EVERY accepted steps and stops `converged` when it reads valid.
     It also carries momentum with adaptive restart (O'Donoghue and Candes,
     arXiv:1204.3982): the first trial is normalize(step(X) + beta (X - X_prev))
-    with beta = min(k / (k + 3), MOMENTUM_CAP) after k accepted steps since the
-    last restart; a failed or degenerate momentum trial restarts (k = 0) with
-    the same plain step and eps, so eps only halves. X - X_prev is a consistent
-    direction because the step commutes with X -> X U for unitary U.
+    with beta = k / (k + 3) after k accepted steps since the last restart. Two
+    events restart (k = 0). The gradient restart fires after an accepted step
+    whose displacement X - X_prev makes an ascent angle with the new
+    Lagrangian gradient, Re <G X, X - X_prev> > 0; this keeps the heavy ball
+    from oscillating near a fixed point, where F changes by less than
+    DESCENT_SLACK, so beta needs no cap. A failed or degenerate momentum trial
+    restarts with the same plain step and eps, so eps only halves. X - X_prev
+    is a consistent direction because the step commutes with X -> X U for
+    unitary U.
     The step is opt-in: on noisy full-rank data this lam rule collapses eps
     and stalls where the plain step converges.
     """
     policy = policy or StepPolicy()
-    step_fn, certify, extrapolate = _fgd_apply_arr, None, None
+    step_fn, certify, extrapolate, restart = _fgd_apply_arr, None, None, None
     if precondition:
-        step_fn = _scaled_fgd_apply_arr
+        shifted = [None, None, None]  # X, g and G X of the last restart test, for the next step
+
+        def step_fn(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
+            GX = shifted[2] if shifted[0] is X and shifted[1] is g else None
+            return _scaled_fgd_apply_arr(X, g, eps, GX)
 
         def extrapolate(plain: np.ndarray, momentum: np.ndarray, eps: float) -> np.ndarray:
             return _renormalized(plain + momentum, eps)
 
-        def certify(rho: np.ndarray) -> bool:
-            return validity_certificate(DensityLike.from_array(rho), obj).verdict == VALID
+        def restart(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray) -> bool:
+            shifted[:] = X, g, _shifted_gradient(X, g)
+            return np.vdot(shifted[2], X - X_prev).real > 0.0
+
+        def certify(rho: np.ndarray, g: np.ndarray) -> bool:
+            return _certificate(rho, g).verdict == VALID
 
     final, trace = _line_searched_solve(
         np.array(state0.X),
@@ -411,6 +437,7 @@ def fgd_solve(
         step_fn=step_fn,
         certify=certify,
         extrapolate=extrapolate,
+        restart=restart,
     )
     return FactorState(final), trace
 

@@ -268,6 +268,24 @@ class TestRankTrap:
         assert record.stop_reason == "converged"
         assert record.certificate.verdict == VALID
 
+    def test_iteration_budget(self, small_descriptor):
+        # a deterministic counter, unaffected by machine load: the momentum
+        # without the gradient restart took 6,044 iterations here, with it 4,314
+        total = 0
+        for true_rank in (1, 2):
+            records, _ = rank_trap(
+                {
+                    "operator": small_descriptor,
+                    "true_rank": true_rank,
+                    "count": 4,
+                    "start_ranks": [1, 2, 3, 4],
+                    "solver": {"tol": 1e-12},
+                    "seed": 7,
+                }
+            )
+            total += sum(rec.iterations for rec in records)
+        assert total <= 4800
+
     def test_zero_start_rank_rejected(self, small_descriptor):
         with pytest.raises(ValueError, match="start rank"):
             rank_trap({"operator": small_descriptor, "start_ranks": [0], "count": 1})
@@ -435,10 +453,20 @@ class TestCli:
             ("generate", {"seed": {}}, "seed must be a number"),
             ("generate", {"ensemble": {"dim": 2, "ranks": [[1]]}}, "ranks must be a number"),
             ("reconstruct", {"solvers": [{"max_iter": [5]}]}, "max_iter must be a number"),
+            # integer fields used to truncate a non-integral value
+            ("rank-trap", {"true_rank": 1, "count": 1.9}, "count must be an integer"),
+            (
+                "generate",
+                {"ensemble": {"dim": 2, "ranks": [1], "count_per_rank": 2.9}},
+                "count_per_rank must be an integer",
+            ),
+            ("reconstruct", {"solvers": [{"max_iter": 10.5}]}, "max_iter must be an integer"),
         ],
         ids=[
             "rank-trap-count", "rank-trap-count-inf", "rank-trap-seed", "rank-trap-tol",
             "rank-trap-homodyne-dim", "generate-seed", "generate-ranks", "reconstruct-max-iter",
+            "rank-trap-count-fraction", "generate-count-per-rank-fraction",
+            "reconstruct-max-iter-fraction",
         ],
     )
     def test_rejects_non_number_config_fields(self, command, config, message, tmp_path, capsys):
@@ -453,6 +481,26 @@ class TestCli:
         cfg.write_text(json.dumps(config))
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_integral_float_integer_fields_still_parse(self):
+        ensemble = {"dim": 2.0, "ranks": [1.0], "count_per_rank": 2.0}
+        spec = parse_experiment_spec({"operator": {"kind": "pauli6"}, "ensemble": ensemble})
+        assert (spec.dim, spec.ranks, spec.count_per_rank) == (2, [1], 2)
+
+    @pytest.mark.parametrize("enabled", ["false", 0, None])
+    def test_rejects_non_boolean_noise_flag(self, enabled, tmp_path, capsys):
+        # the string "false" used to read as true and turn noise on
+        cfg = tmp_path / "cfg.json"
+        spec = {
+            "operator": {"kind": "pauli6"},
+            "ensemble": {"dim": 2, "ranks": [1]},
+            "noise": {"enabled": enabled},
+        }
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "noise.enabled must be a JSON boolean" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rank_trap_requires_operator(self, tmp_path, capsys):
         cfg = tmp_path / "trap.json"

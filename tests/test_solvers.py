@@ -401,6 +401,9 @@ class TestScaledFactorized:
                 assert np.diff(trace.objective_values).max() <= DESCENT_SLACK
                 eps0 = default_eps(obj, start)
                 restarts.append(trace.trials - trace.iterations - halvings(trace, eps0))
+                # restarts counts the failed-trial restarts plus the gradient
+                # restarts, which cost no trial
+                assert trace.restarts > restarts[-1]
         assert min(restarts) >= 0 and max(restarts) > 0
 
     def test_zero_column_stays_zero_under_momentum(self, homodyne_small):
@@ -412,6 +415,17 @@ class TestScaledFactorized:
         eps0 = default_eps(obj, state0.density())
         assert trace.trials > trace.iterations + halvings(trace, eps0)
         assert np.abs(state.X[:, 2]).max() == 0.0
+
+    def test_solves_without_momentum_never_restart(self, homodyne_small):
+        truth = random_density(4, 2, 80)
+        obj = Objective(homodyne_small, homodyne_small.apply(truth), kind="nll")
+        rho0 = maximally_mixed(4)
+        traces = [
+            gm_solve(rho0, obj, max_iter=300)[1],
+            fgd_solve(FactorState.from_density(rho0, 3), obj, max_iter=300)[1],
+            mle_solve(rho0, obj, max_iter=300)[1],
+        ]
+        assert [trace.restarts for trace in traces] == [0, 0, 0]
 
 
 class TestPgdSolve:
