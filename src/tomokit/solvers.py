@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .diagnostics import VALID, _certificate
+from .diagnostics import FIX_TOL, VALID, _certificate, m_set_residual
 from .hermitian import DensityLike, _project_density_arr, entries_of, trace_norm
 from .objectives import NEG_LOG_LIKELIHOOD, Objective
 
@@ -72,7 +72,9 @@ class StepPolicy:
 @dataclass
 class SolverTrace:
     """Per-iteration bookkeeping for a solve; `trials` counts every trial step taken
-    and `restarts` every momentum restart, after a failed trial or from the gradient."""
+    and `restarts` every momentum restart, after a failed trial or from the gradient.
+    `residuals` holds the Frobenius norm of each accepted density step, a lower
+    bound on the trace norm that the stop test compares with tol."""
 
     objective_values: list[float] = field(default_factory=list)
     eps_values: list[float] = field(default_factory=list)
@@ -168,8 +170,15 @@ def gm_step(rho: DensityLike, g, eps: float) -> DensityLike:
     return DensityLike.from_array(_gm_step_arr(rho.entries, entries_of(g), eps))
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) without its dispatch, summed in the same (memory) order."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _renormalized(half: np.ndarray, eps: float) -> np.ndarray:
-    norm = np.linalg.norm(half)
+    norm = _norm(half)
     if norm < math.sqrt(_TRACE_FLOOR):
         raise DegenerateStateError(f"factor norm {norm!r} vanished at eps={eps!r}")
     return half * (1.0 / norm)
@@ -191,7 +200,7 @@ def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, GX=None) -> 
     gradient G X (computed from X and g unless given) and lam = ||G X||_F, renormalized."""
     if GX is None:
         GX = _shifted_gradient(X, g)
-    lam = np.linalg.norm(GX)
+    lam = _norm(GX)
     if lam == 0.0:
         # No descent direction; X* X alone is singular for a factor with a zero column.
         return _renormalized(X, eps)
@@ -245,6 +254,13 @@ def _barzilai_borwein(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
     return eps * 2.0
 
 
+def _check_stop_rule(tol: float, max_iter: int) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+
+
 def _line_searched_solve(
     state: np.ndarray,
     obj: Objective,
@@ -267,6 +283,9 @@ def _line_searched_solve(
     last density and gradient changes; without it eps carries over.
     keep_trace keeps the raw states.
     A raised DegenerateStateError counts as a failed trial and shrinks eps.
+    The solve stops `converged` at the first accepted step d_rho with
+    trace_norm(d_rho) < tol; the eigensolve runs only once ||d_rho||_F, its
+    lower bound and the recorded residual, is below tol.
     `certify(rho, g)`, when given, is asked every CERTIFY_EVERY accepted steps
     whether the density array rho with gradient g passes the validity
     certificate; a pass stops the solve as converged.
@@ -275,6 +294,7 @@ def _line_searched_solve(
     is asked after every accepted step, with the gradient g at the new state,
     whether to drop the momentum; only failed plain trials shrink eps.
     """
+    _check_stop_rule(tol, max_iter)
     rho = density_of(state)
     p = obj._forward_arr(rho)
     f = obj._value_from(p)
@@ -315,7 +335,7 @@ def _line_searched_solve(
                 return state, trace
 
         d_rho = rho_cand - rho
-        residual = trace_norm(d_rho)
+        residual = _norm(d_rho)
         prev, state, rho, f = state, candidate, rho_cand, f_cand
         g_new = obj._gradient_from(p_cand)
         k += extrapolate is not None
@@ -327,7 +347,7 @@ def _line_searched_solve(
         trace.residuals.append(residual)
         if keep_trace:
             trace.iterates_kept.append(state)
-        if residual < tol or (
+        if (residual < tol and trace_norm(d_rho) < tol) or (
             certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho, g_new)
         ):
             trace.stop_reason = CONVERGED
@@ -352,9 +372,11 @@ def gm_solve(
     """Gradient-multiplication solve with shrink-only step control.
 
     Objective values along the trace are non-increasing (within a 1e-12
-    slack); the stop residual is the trace norm of the last step. A small
-    residual certifies a fixed point, not a solution: run the validity
-    certificate on the result to tell the two apart.
+    slack). The solve stops once the trace norm of the last step is below
+    tol; `trace.residuals` records each step's Frobenius norm, which bounds
+    it from below. A small step certifies a fixed point, not a solution:
+    run the validity certificate on the result to tell the two apart.
+    tol must be finite and >= 0 and max_iter >= 0, else ValueError.
     """
     policy = policy or StepPolicy()
     final, trace = _line_searched_solve(
@@ -382,8 +404,8 @@ def fgd_solve(
 ) -> tuple[FactorState, SolverTrace]:
     """Factorized gradient descent with the same step control as gm_solve.
 
-    Iterates stay rank <= r; residuals and objective values are measured on
-    the outer products X X*.
+    Iterates stay rank <= r; the stop rule, residuals and objective values
+    are gm_solve's, measured on the outer products X X*.
 
     precondition=True takes the scaled step
     X <- normalize(X - eps * G X (X* X + lam I)^-1), where
@@ -393,7 +415,9 @@ def fgd_solve(
     minimizer, where the plain step converges only at O(1/t). Its step
     residual can stall above a tight tol once the iterate is already a
     minimizer, so such a solve also runs the validity certificate every
-    CERTIFY_EVERY accepted steps and stops `converged` when it reads valid.
+    CERTIFY_EVERY accepted steps and stops `converged` when it reads valid;
+    a check whose m_set_residual exceeds FIX_TOL reads not_fixed_point
+    without the certificate's eigensolves.
     It also carries momentum with adaptive restart (O'Donoghue and Candes,
     arXiv:1204.3982): the first trial is normalize(step(X) + beta (X - X_prev))
     with beta = k / (k + 3) after k accepted steps since the last restart. Two
@@ -425,6 +449,8 @@ def fgd_solve(
             return np.vdot(shifted[2], X - X_prev).real > 0.0
 
         def certify(rho: np.ndarray, g: np.ndarray) -> bool:
+            if m_set_residual(rho, -g)[1] > FIX_TOL:
+                return False  # the certificate would read not_fixed_point
             return _certificate(rho, g).verdict == VALID
 
     final, trace = _line_searched_solve(
@@ -448,21 +474,24 @@ def mle_solve(
     max_iter: int = 20000,
     tol: float = 1e-10,
 ) -> tuple[DensityLike, SolverTrace]:
-    """Plain multiplicative likelihood iteration (no step size, no descent guarantee)."""
+    """Plain multiplicative likelihood iteration (no step size, no descent guarantee),
+    with gm_solve's stop rule and residuals."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("mle_solve requires the nll objective")
+    _check_stop_rule(tol, max_iter)
     rho = np.array(rho0.entries)
     trace = SolverTrace(objective_values=[obj._value_arr(rho)])
 
     for _ in range(max_iter):
         nxt = _psd_hygiene(_mle_step_arr(rho, obj))
         trace.trials += 1
-        residual = trace_norm(nxt - rho)
+        step = nxt - rho
+        residual = _norm(step)
         rho = nxt
         trace.objective_values.append(obj._value_arr(rho))
         trace.eps_values.append(math.nan)
         trace.residuals.append(residual)
-        if residual < tol:
+        if residual < tol and trace_norm(step) < tol:
             trace.stop_reason = CONVERGED
             break
     else:

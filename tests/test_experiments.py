@@ -268,12 +268,11 @@ class TestRankTrap:
         assert record.stop_reason == "converged"
         assert record.certificate.verdict == VALID
 
-    def test_iteration_budget(self, small_descriptor):
-        # a deterministic counter, unaffected by machine load: the momentum
-        # without the gradient restart took 6,044 iterations here, with it 4,314
-        total = 0
+    @staticmethod
+    def budget_records(small_descriptor):
+        records = []
         for true_rank in (1, 2):
-            records, _ = rank_trap(
+            records += rank_trap(
                 {
                     "operator": small_descriptor,
                     "true_rank": true_rank,
@@ -282,9 +281,42 @@ class TestRankTrap:
                     "solver": {"tol": 1e-12},
                     "seed": 7,
                 }
-            )
-            total += sum(rec.iterations for rec in records)
+            )[0]
+        return records
+
+    def test_iteration_budget(self, small_descriptor):
+        # a deterministic counter, unaffected by machine load: the momentum
+        # without the gradient restart took 6,044 iterations here, with it 4,314
+        total = sum(rec.iterations for rec in self.budget_records(small_descriptor))
         assert total <= 4800
+
+    def test_eigensolve_budget(self, small_descriptor, monkeypatch):
+        # a deterministic counter: with a trace-norm eigensolve on every step
+        # and every certificate check in full, the solves made 4,809 eigensolves
+        # over 4,314 iterations; running them only on steps that can pass
+        # leaves 117
+        calls = {"all": 0, "in_solve": 0}
+
+        def counted(eig):
+            def call(*args, **kwargs):
+                calls["all"] += 1
+                return eig(*args, **kwargs)
+
+            return call
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+
+        def solve(*args, **kwargs):
+            before = calls["all"]
+            try:
+                return fgd_solve(*args, **kwargs)
+            finally:
+                calls["in_solve"] += calls["all"] - before
+
+        monkeypatch.setattr(experiments, "fgd_solve", solve)
+        iterations = sum(rec.iterations for rec in self.budget_records(small_descriptor))
+        assert calls["in_solve"] <= iterations / 10
 
     def test_zero_start_rank_rejected(self, small_descriptor):
         with pytest.raises(ValueError, match="start rank"):
@@ -470,6 +502,30 @@ class TestCli:
         ],
     )
     def test_rejects_non_number_config_fields(self, command, config, message, tmp_path, capsys):
+        assert self.run_with_config(command, config, tmp_path) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("reconstruct", {"solvers": [{"tol": math.nan}]}, "tol must be finite and >= 0"),
+            ("reconstruct", {"solvers": [{"tol": -1}]}, "tol must be finite and >= 0"),
+            ("reconstruct", {"solvers": [{"max_iter": -5}]}, "max_iter must be >= 0"),
+            ("reconstruct", {"solvers": [{}], "oracle": {"tol": -1}}, "tol must be finite"),
+            ("rank-trap", {"true_rank": 1, "count": 1, "solver": {"tol": -1}}, "tol must be"),
+        ],
+        ids=[
+            "reconstruct-tol-nan", "reconstruct-tol-negative", "reconstruct-max-iter-negative",
+            "reconstruct-oracle-tol-negative", "rank-trap-tol-negative",
+        ],
+    )
+    def test_rejects_bad_stop_settings(self, command, config, message, tmp_path, capsys):
+        # a NaN or negative tol used to run every solve to max_iter
+        assert self.run_with_config(command, config, tmp_path) == 1
+        assert message in capsys.readouterr().err
+
+    @staticmethod
+    def run_with_config(command, config, tmp_path) -> int:
         cfg = tmp_path / "cfg.json"
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
         spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}}
@@ -479,8 +535,7 @@ class TestCli:
         else:
             config = {**spec, **config}
         cfg.write_text(json.dumps(config))
-        assert main(argv) == 1
-        assert message in capsys.readouterr().err
+        return main(argv)
 
     def test_integral_float_integer_fields_still_parse(self):
         ensemble = {"dim": 2.0, "ranks": [1.0], "count_per_rank": 2.0}

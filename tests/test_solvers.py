@@ -29,6 +29,7 @@ from tomokit.solvers import (
     mle_solve,
     mle_step,
     pgd_solve,
+    _norm,
     _outer,
     _scaled_fgd_apply_arr,
 )
@@ -249,6 +250,82 @@ class TestGmSolve:
         _, trace = gm_solve(maximally_mixed(10), obj, max_iter=5, tol=1e-14)
         assert trace.stop_reason == MAX_ITER
         assert trace.iterations == 5
+
+
+class TestStopRule:
+    """The stop fires at the first step whose trace norm is below tol; the
+    recorded residual is the step's Frobenius norm, the cheap lower bound."""
+
+    def solve(self, homodyne_small, tol):
+        truth = random_density(4, 4, 41)
+        obj = Objective(homodyne_small, homodyne_small.apply(truth), kind="nll")
+        _, trace = gm_solve(maximally_mixed(4), obj, max_iter=5000, tol=tol, keep_trace=True)
+        kept = [state.entries for state in trace.iterates_kept]
+        steps = [b - a for a, b in zip(kept, kept[1:])]
+        return trace, steps, [trace_norm(step) for step in steps]
+
+    def test_stops_at_first_step_below_tol_in_trace_norm(self, homodyne_small):
+        trace, steps, norms = self.solve(homodyne_small, 1e-4)
+        assert trace.stop_reason == CONVERGED
+        assert len(steps) == trace.iterations > 1
+        assert norms[-1] < 1e-4 <= min(norms[:-1])
+        for residual, step, norm in zip(trace.residuals, steps, norms):
+            assert residual == np.linalg.norm(step)
+            assert residual <= norm
+
+    def test_frobenius_below_tol_alone_does_not_stop(self, homodyne_small):
+        trace, _, norms = self.solve(homodyne_small, 1e-4)
+        # the latest step j whose Frobenius norm lies below every trace norm so far
+        j = max(i for i in range(trace.iterations) if trace.residuals[i] < min(norms[: i + 1]))
+        tol = 0.5 * (trace.residuals[j] + min(norms[: j + 1]))
+        retrace, _, renorms = self.solve(homodyne_small, tol)
+        # a Frobenius-only stop would end at step j or before
+        assert retrace.residuals[: j + 1] == trace.residuals[: j + 1]
+        assert retrace.residuals[j] < tol
+        assert retrace.stop_reason == CONVERGED
+        assert retrace.iterations > j + 1
+        assert renorms[-1] < tol <= min(renorms[:-1])
+
+
+class TestStopSettings:
+    @pytest.mark.parametrize("solver", ["gm", "fgd", "fgd-pre", "mle", "pgd"])
+    @pytest.mark.parametrize(
+        "tol, max_iter, message",
+        [
+            (math.nan, 10, "tol must be finite"),
+            (-1.0, 10, "tol must be finite"),
+            (math.inf, 10, "tol must be finite"),
+            (1e-10, -5, "max_iter must be >= 0"),
+        ],
+        ids=["tol-nan", "tol-negative", "tol-inf", "max-iter-negative"],
+    )
+    def test_rejects_bad_tol_and_max_iter(self, t2, solver, tol, max_iter, message):
+        # these used to run to max_iter, stop converged after one step, or
+        # return after zero iterations
+        obj = Objective(t2, t2.apply(random_density(2, 2, 42)), kind="nll")
+        start = maximally_mixed(2)
+        with pytest.raises(ValueError, match=message):
+            if solver.startswith("fgd"):
+                state0 = FactorState.from_density(start, 2)
+                fgd_solve(state0, obj, max_iter=max_iter, tol=tol, precondition=solver == "fgd-pre")
+            else:
+                solve = {"gm": gm_solve, "mle": mle_solve, "pgd": pgd_solve}[solver]
+                solve(start, obj, max_iter=max_iter, tol=tol)
+
+    def test_zero_tol_and_zero_max_iter_stay_valid(self, t2):
+        obj = Objective(t2, t2.apply(random_density(2, 2, 43)), kind="nll")
+        _, trace = gm_solve(maximally_mixed(2), obj, max_iter=3, tol=0.0)
+        assert (trace.stop_reason, trace.iterations) == (MAX_ITER, 3)
+        _, trace = mle_solve(maximally_mixed(2), obj, max_iter=0, tol=0.0)
+        assert (trace.stop_reason, trace.iterations) == (MAX_ITER, 0)
+
+
+class TestNorm:
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        base = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+        for x in (base, base.T, base[1:6:2, ::-1], base.conj().T[::2], base[:, 3]):
+            assert _norm(x) == np.linalg.norm(x)
 
 
 class TestFactorized:
