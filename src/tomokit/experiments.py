@@ -24,7 +24,7 @@ from .diagnostics import (
 )
 from .hermitian import DensityLike, load_matrix, random_density, save_matrix, trace_norm
 from .objectives import Objective
-from .operators import MeasurementData, MeasurementOperator, operator_from_descriptor
+from .operators import MeasurementData, MeasurementOperator, _json_number, operator_from_descriptor
 from .solvers import (
     FactorState,
     SolverTrace,
@@ -183,18 +183,6 @@ def _json_bool(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"config field {name} must be a JSON boolean, got {value!r}")
     return value
-
-
-def _json_number(value, name: str, kind=float):
-    """A numeric config field, converted by `kind` (float or int); an int field
-    rejects a non-integral value instead of truncating it."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config field {name} must be a number, got {value!r}") from exc
-    if kind is int and isinstance(value, float) and number != value:
-        raise ValueError(f"config field {name} must be an integer, got {value!r}")
-    return number
 
 
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:

@@ -238,6 +238,21 @@ def homodyne_operator(
 
 # --- descriptors -------------------------------------------------------------
 
+def _json_number(value, name: str, kind=float):
+    """A numeric config field, converted by `kind` (float or int). A JSON boolean
+    is not a number, and an int field rejects a non-integral value instead of
+    truncating it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config field {name} must be a number, got {value!r}") from exc
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(f"config field {name} must be an integer, got {value!r}")
+    return number
+
+
 def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
     """Build an operator from its JSON descriptor (kinds: pauli6, homodyne)."""
     if not isinstance(descriptor, dict):
@@ -248,13 +263,13 @@ def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
     if kind == "homodyne":
         try:
             return homodyne_operator(
-                int(descriptor["dim"]),
+                _json_number(descriptor["dim"], "operator.dim", int),
                 descriptor["angles"],
                 descriptor["bin_edges"],
-                int(descriptor.get("quad_order", 20)),
+                _json_number(descriptor.get("quad_order", 20), "operator.quad_order", int),
             )
         except KeyError as exc:
             raise ValueError(f"homodyne descriptor missing field {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed homodyne descriptor: {exc}") from exc
     raise ValueError(f"unknown operator kind {kind!r}")

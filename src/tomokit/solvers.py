@@ -1,10 +1,11 @@
-"""Fixed-point iterations on the unit-trace PSD set and their factorized forms.
+"""Fixed-point iterations on the unit-trace PSD set, run in factorized form.
 
 The multiplicative family updates rho -> A rho A / tr(A rho A) with
-A = I - eps * grad F(rho); the factorized form updates an N x r factor X with
-rho = X X* and reproduces the full iteration step for step when r = N. A
-projected-gradient solver serves as the independent reference for the convex
-problems.
+A = I - eps * grad F(rho). On an N x r factor X with rho = X X* the same map
+is X -> A X / ||A X||_F, step for step when r = N, so every solve iterates a
+factor and no step needs an eigendecomposition; gm_step and mle_step are the
+full-matrix references. A projected-gradient solver serves as the independent
+reference for the convex problems.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ _TRACE_FLOOR = 1e-300
 # Accepted steps between two certificate checks of a certified solve.
 CERTIFY_EVERY = 25
 
-# The sandwich map amplifies kernel rounding dirt (of either sign) by up to
-# ||A||^2 per step; zeroing eigenvalues this far below the trace scale keeps
-# iterates PSD and their numerical rank non-increasing.
+# Eigenvalues of a start below this (the trace is one) form its numerical
+# kernel: FactorState.from_density gives them exactly zero columns, and every
+# factorized step keeps a zero column exactly zero, so the rank of an iterate
+# never exceeds the numerical rank of its start.
 _KERNEL_CLIP = 1e-13
 
 
@@ -120,12 +122,13 @@ class FactorState:
 
     @classmethod
     def from_density(cls, rho: DensityLike, rank: int) -> "FactorState":
-        """Spectral factor built from the top-`rank` eigenpairs of rho."""
+        """Spectral factor built from the top-`rank` eigenpairs of rho; eigenvalues
+        below _KERNEL_CLIP give exactly zero columns."""
         if not 1 <= rank <= rho.dim:
             raise ValueError(f"rank must satisfy 1 <= r <= {rho.dim}, got {rank}")
         vals, vecs = np.linalg.eigh(rho.entries)
-        top = slice(rho.dim - rank, rho.dim)
-        X = vecs[:, top] * np.sqrt(np.maximum(vals[top], 0.0))
+        top = vals[rho.dim - rank :]
+        X = vecs[:, rho.dim - rank :] * np.sqrt(np.where(top < _KERNEL_CLIP, 0.0, top))
         norm = np.linalg.norm(X)
         if norm == 0.0:
             raise DegenerateStateError("state has no mass on the requested rank")
@@ -134,40 +137,30 @@ class FactorState:
 
 # --- single steps ------------------------------------------------------------
 
-def _sandwich(A: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _normalized_sandwich(A: np.ndarray, rho: np.ndarray) -> DensityLike:
     S = A @ rho @ A
-    return 0.5 * (S + S.conj().T)
-
-
-def _mle_step_arr(rho: np.ndarray, obj: Objective) -> np.ndarray:
-    # The nll reweighting operator R is -grad F; the sandwich is even in it.
-    S = _sandwich(obj._gradient_arr(rho), rho)
+    S = 0.5 * (S + S.conj().T)
     t = float(S.trace().real)
     if t < _TRACE_FLOOR:
         raise DegenerateStateError(f"sandwich trace {t!r} vanished")
-    return (1.0 / t) * S
+    return DensityLike.from_array((1.0 / t) * S)
 
 
 def mle_step(rho: DensityLike, obj: Objective) -> DensityLike:
-    """One multiplicative likelihood update R(rho) rho R(rho) / tr(...)."""
+    """One multiplicative likelihood update R(rho) rho R(rho) / tr(...), in full
+    matrices: the reference for the factorized kernel that mle_solve runs."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the multiplicative likelihood step requires the nll objective")
-    return DensityLike.from_array(_mle_step_arr(rho.entries, obj))
-
-
-def _gm_step_arr(rho: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-    A = (-eps) * g
-    A.flat[:: rho.shape[0] + 1] += 1.0
-    S = _sandwich(A, rho)
-    t = float(S.trace().real)
-    if t < _TRACE_FLOOR:
-        raise DegenerateStateError(f"step normalizer {t!r} vanished at eps={eps!r}")
-    return (1.0 / t) * S
+    # The nll reweighting operator R is -grad F; the sandwich is even in it.
+    return _normalized_sandwich(obj._gradient_arr(rho.entries), rho.entries)
 
 
 def gm_step(rho: DensityLike, g, eps: float) -> DensityLike:
-    """One gradient-multiplication update with A = I - eps * g."""
-    return DensityLike.from_array(_gm_step_arr(rho.entries, entries_of(g), eps))
+    """One gradient-multiplication update with A = I - eps * g, in full matrices:
+    the reference for the factorized step that gm_solve runs."""
+    A = (-eps) * entries_of(g)
+    A.flat[:: rho.dim + 1] += 1.0
+    return _normalized_sandwich(A, rho.entries)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -177,15 +170,20 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _renormalized(half: np.ndarray, eps: float) -> np.ndarray:
+def _renormalized(half: np.ndarray) -> np.ndarray:
     norm = _norm(half)
     if norm < math.sqrt(_TRACE_FLOOR):
-        raise DegenerateStateError(f"factor norm {norm!r} vanished at eps={eps!r}")
+        raise DegenerateStateError(f"factor norm {norm!r} vanished")
     return half * (1.0 / norm)
 
 
 def _fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-    return _renormalized(X - eps * (g @ X), eps)
+    return _renormalized(X - eps * (g @ X))
+
+
+def _mle_apply_arr(X: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # R = -grad F, negated before the product so that signed zeros match R @ X.
+    return _renormalized((-g) @ X)
 
 
 def _shifted_gradient(X: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -203,11 +201,11 @@ def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, GX=None) -> 
     lam = _norm(GX)
     if lam == 0.0:
         # No descent direction; X* X alone is singular for a factor with a zero column.
-        return _renormalized(X, eps)
+        return _renormalized(X)
     P = X.conj().T @ X
     P.flat[:: P.shape[0] + 1] += lam
     # G X P^-1 = (P^-T (G X)^T)^T, one solve for all rows.
-    return _renormalized(X - eps * np.linalg.solve(P.T, GX.T).T, eps)
+    return _renormalized(X - eps * np.linalg.solve(P.T, GX.T).T)
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -225,26 +223,10 @@ def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
     """Factorized form of the multiplicative likelihood step: X -> R X / ||R X||."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the factorized likelihood step requires the nll objective")
-    X = state.X
-    # R = -grad F, negated before the product so that signed zeros match R @ X.
-    nxt = (-obj._gradient_arr(_outer(X))) @ X
-    norm = np.linalg.norm(nxt)
-    if norm < math.sqrt(_TRACE_FLOOR):
-        raise DegenerateStateError("factor annihilated by the reweighting operator")
-    return FactorState(nxt * (1.0 / norm))
+    return FactorState(_mle_apply_arr(state.X, obj._gradient_arr(_outer(state.X))))
 
 
 # --- full solves -------------------------------------------------------------
-
-def _psd_hygiene(arr: np.ndarray) -> np.ndarray:
-    """Zero out near-kernel eigenvalues of a full-matrix iterate."""
-    vals, vecs = np.linalg.eigh(arr)
-    if vals[0] >= _KERNEL_CLIP:
-        return arr
-    vals = np.where(vals < _KERNEL_CLIP, 0.0, vals)
-    out = (vecs * vals) @ vecs.conj().T
-    return 0.5 * (out + out.conj().T)
-
 
 def _barzilai_borwein(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
     """Spectral step |d_rho|^2 / <d_rho, d_g>, clamped; doubles eps without curvature."""
@@ -289,7 +271,7 @@ def _line_searched_solve(
     `certify(rho, g)`, when given, is asked every CERTIFY_EVERY accepted steps
     whether the density array rho with gradient g passes the validity
     certificate; a pass stops the solve as converged.
-    `extrapolate(plain, momentum, eps)` and `restart(state, prev, g)`, given
+    `extrapolate(plain, momentum)` and `restart(state, prev, g)`, given
     together, add momentum to the plain step as fgd_solve describes: restart
     is asked after every accepted step, with the gradient g at the new state,
     whether to drop the momentum; only failed plain trials shrink eps.
@@ -316,7 +298,7 @@ def _line_searched_solve(
                 candidate = plain
                 if k:
                     momentum = (k / (k + 3)) * (state - prev)
-                    candidate = extrapolate(plain, momentum, eps)
+                    candidate = extrapolate(plain, momentum)
                 rho_cand = density_of(candidate)
                 p_cand = obj._forward_arr(rho_cand)
                 f_cand = obj._value_from(p_cand)
@@ -371,6 +353,8 @@ def gm_solve(
 ) -> tuple[DensityLike, SolverTrace]:
     """Gradient-multiplication solve with shrink-only step control.
 
+    It runs as plain fgd_solve from FactorState.from_density(rho0, N); gm_step
+    is the full-matrix reference. Kept iterates and the result are densities.
     Objective values along the trace are non-increasing (within a 1e-12
     slack). The solve stops once the trace norm of the last step is below
     tol; `trace.residuals` records each step's Frobenius norm, which bounds
@@ -380,18 +364,18 @@ def gm_solve(
     """
     policy = policy or StepPolicy()
     final, trace = _line_searched_solve(
-        np.array(rho0.entries),
+        FactorState.from_density(rho0, rho0.dim).X,
         obj,
         policy,
         max_iter,
         tol,
-        density_of=lambda arr: arr,
-        step_fn=lambda arr, g, eps: _psd_hygiene(_gm_step_arr(arr, g, eps)),
+        density_of=_outer,
+        step_fn=_fgd_apply_arr,
         keep_trace=keep_trace,
     )
     if keep_trace:
-        trace.iterates_kept = [DensityLike.from_array(arr) for arr in trace.iterates_kept]
-    return DensityLike.from_array(final), trace
+        trace.iterates_kept = [DensityLike.from_array(_outer(X)) for X in trace.iterates_kept]
+    return DensityLike.from_array(_outer(final)), trace
 
 
 def fgd_solve(
@@ -402,10 +386,11 @@ def fgd_solve(
     tol: float = 1e-10,
     precondition: bool = False,
 ) -> tuple[FactorState, SolverTrace]:
-    """Factorized gradient descent with the same step control as gm_solve.
+    """Factorized gradient descent with shrink-only step control.
 
-    Iterates stay rank <= r; the stop rule, residuals and objective values
-    are gm_solve's, measured on the outer products X X*.
+    Iterates stay rank <= r, and a zero column stays exactly zero; the stop
+    rule, residuals and objective values are measured on the outer products
+    X X*. gm_solve is this solve at r = N.
 
     precondition=True takes the scaled step
     X <- normalize(X - eps * G X (X* X + lam I)^-1), where
@@ -441,8 +426,8 @@ def fgd_solve(
             GX = shifted[2] if shifted[0] is X and shifted[1] is g else None
             return _scaled_fgd_apply_arr(X, g, eps, GX)
 
-        def extrapolate(plain: np.ndarray, momentum: np.ndarray, eps: float) -> np.ndarray:
-            return _renormalized(plain + momentum, eps)
+        def extrapolate(plain: np.ndarray, momentum: np.ndarray) -> np.ndarray:
+            return _renormalized(plain + momentum)
 
         def restart(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray) -> bool:
             shifted[:] = X, g, _shifted_gradient(X, g)
@@ -475,20 +460,27 @@ def mle_solve(
     tol: float = 1e-10,
 ) -> tuple[DensityLike, SolverTrace]:
     """Plain multiplicative likelihood iteration (no step size, no descent guarantee),
-    with gm_solve's stop rule and residuals."""
+    with gm_solve's stop rule and residuals. It iterates factorized_mle_step's
+    kernel from FactorState.from_density(rho0, N); mle_step is the full-matrix
+    reference.
+    """
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("mle_solve requires the nll objective")
     _check_stop_rule(tol, max_iter)
-    rho = np.array(rho0.entries)
-    trace = SolverTrace(objective_values=[obj._value_arr(rho)])
+    X = FactorState.from_density(rho0, rho0.dim).X
+    rho = _outer(X)
+    p = obj._forward_arr(rho)
+    trace = SolverTrace(objective_values=[obj._value_from(p)])
 
     for _ in range(max_iter):
-        nxt = _psd_hygiene(_mle_step_arr(rho, obj))
+        X = _mle_apply_arr(X, obj._gradient_from(p))
         trace.trials += 1
+        nxt = _outer(X)
         step = nxt - rho
         residual = _norm(step)
         rho = nxt
-        trace.objective_values.append(obj._value_arr(rho))
+        p = obj._forward_arr(rho)
+        trace.objective_values.append(obj._value_from(p))
         trace.eps_values.append(math.nan)
         trace.residuals.append(residual)
         if residual < tol and trace_norm(step) < tol:

@@ -28,6 +28,35 @@ from tomokit.solvers import FactorState, fgd_solve, pgd_solve
 from conftest import maximally_mixed, pauli_six_effects
 
 
+def count_eigensolves(monkeypatch, *solves):
+    """Counts of np.linalg.eigvalsh/eigh calls, in all and inside the named
+    solves as experiments calls them."""
+    calls = {"all": 0, "in_solve": 0}
+
+    def counted(eig):
+        def call(*args, **kwargs):
+            calls["all"] += 1
+            return eig(*args, **kwargs)
+
+        return call
+
+    def inside(solve):
+        def call(*args, **kwargs):
+            before = calls["all"]
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                calls["in_solve"] += calls["all"] - before
+
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    for name in solves:
+        monkeypatch.setattr(experiments, name, inside(getattr(experiments, name)))
+    return calls
+
+
 def small_spec(tmp_path, **overrides):
     config = {
         "operator": standard_homodyne_descriptor(dim=4, n_angles=5, n_bins=12, half_width=6.0),
@@ -203,6 +232,20 @@ class TestReconstruct:
 
         assert strip(first) == strip(second)
 
+    def test_eigensolve_budget(self, dataset, monkeypatch):
+        # a deterministic counter: with a PSD cleanup eigh on every trial, the
+        # full-matrix gm and mle solves made 22,241 eigensolves here over
+        # 22,146 iterations; the factorized solves make 101
+        calls = count_eigensolves(monkeypatch, "gm_solve", "mle_solve")
+        solvers = [
+            {"solver": "gm", "fit": "nll", "data": "noisy", "max_iter": 4000},
+            {"solver": "gm", "fit": "l2", "data": "exact", "max_iter": 4000},
+            {"solver": "mle", "data": "noisy", "max_iter": 4000},
+        ]
+        records = reconstruct_dataset(dataset, {"solvers": solvers})
+        iterations = sum(rec.iterations for rec in records)
+        assert calls["in_solve"] <= iterations / 10
+
     def test_missing_solvers_rejected(self, dataset):
         with pytest.raises(ValueError, match="no solver"):
             reconstruct_dataset(dataset, {"solvers": []})
@@ -295,26 +338,7 @@ class TestRankTrap:
         # and every certificate check in full, the solves made 4,809 eigensolves
         # over 4,314 iterations; running them only on steps that can pass
         # leaves 117
-        calls = {"all": 0, "in_solve": 0}
-
-        def counted(eig):
-            def call(*args, **kwargs):
-                calls["all"] += 1
-                return eig(*args, **kwargs)
-
-            return call
-
-        for name in ("eigvalsh", "eigh"):
-            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-
-        def solve(*args, **kwargs):
-            before = calls["all"]
-            try:
-                return fgd_solve(*args, **kwargs)
-            finally:
-                calls["in_solve"] += calls["all"] - before
-
-        monkeypatch.setattr(experiments, "fgd_solve", solve)
+        calls = count_eigensolves(monkeypatch, "fgd_solve")
         iterations = sum(rec.iterations for rec in self.budget_records(small_descriptor))
         assert calls["in_solve"] <= iterations / 10
 
@@ -422,6 +446,21 @@ class TestCli:
             assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "field, value", [("dim", 4.7), ("dim", True), ("quad_order", 20.9)]
+    )
+    def test_validate_rejects_non_integer_descriptor_fields(
+        self, small_descriptor, field, value, tmp_path, capsys
+    ):
+        # these built a dim-4, a dim-1 and a quad_order-20 operator
+        state, config, data = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "d.csv"
+        save_matrix(state, np.eye(4) / 4)
+        MeasurementData(np.full((5, 12), 1.0 / 12)).save_csv(data)
+        config.write_text(json.dumps({"operator": {**small_descriptor, field: value}}))
+        argv = ["validate", "--state", str(state), "--config", str(config), "--data", str(data)]
+        assert main(argv) == 1
+        assert f"operator.{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, config",
         [
             ("rank-trap", {"operator": {"kind": "pauli6"}, "solver": 5}),
@@ -493,12 +532,18 @@ class TestCli:
                 "count_per_rank must be an integer",
             ),
             ("reconstruct", {"solvers": [{"max_iter": 10.5}]}, "max_iter must be an integer"),
+            # a JSON boolean used to read as 1 or 0
+            ("rank-trap", {"true_rank": 1, "count": True}, "count must be a number"),
+            ("generate", {"seed": False}, "seed must be a number"),
+            ("generate", {"noise": {"scale": True}}, "noise.scale must be a number"),
+            ("reconstruct", {"solvers": [{"rank": True}]}, "rank must be a number"),
         ],
         ids=[
             "rank-trap-count", "rank-trap-count-inf", "rank-trap-seed", "rank-trap-tol",
             "rank-trap-homodyne-dim", "generate-seed", "generate-ranks", "reconstruct-max-iter",
             "rank-trap-count-fraction", "generate-count-per-rank-fraction",
-            "reconstruct-max-iter-fraction",
+            "reconstruct-max-iter-fraction", "rank-trap-count-bool", "generate-seed-bool",
+            "generate-noise-scale-bool", "reconstruct-rank-bool",
         ],
     )
     def test_rejects_non_number_config_fields(self, command, config, message, tmp_path, capsys):

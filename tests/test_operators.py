@@ -338,3 +338,20 @@ class TestDescriptors:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             operator_from_descriptor({"kind": "homodyne", "dim": 2})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dim", 4.7, "operator.dim must be an integer"),
+            ("dim", True, "operator.dim must be a number"),
+            ("quad_order", 20.9, "operator.quad_order must be an integer"),
+            ("quad_order", False, "operator.quad_order must be a number"),
+        ],
+    )
+    def test_integer_fields_reject_fractions_and_booleans(
+        self, small_descriptor, field, value, message
+    ):
+        # int() used to build a dim-4 operator from 4.7, a dim-1 one from true,
+        # and quad_order 20 from 20.9
+        with pytest.raises(ValueError, match=message):
+            operator_from_descriptor({**small_descriptor, field: value})

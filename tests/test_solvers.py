@@ -10,6 +10,7 @@ from tomokit.diagnostics import (
     mu_exclusion,
     validity_certificate,
 )
+from tomokit.experiments import simulate_data
 from tomokit.hermitian import DensityLike, random_density, trace_norm
 from tomokit.objectives import Objective
 from tomokit.operators import MeasurementOperator
@@ -404,6 +405,60 @@ class TestFactorized:
         )
         assert np.allclose(gm_trace.eps_values, fgd_trace.eps_values)
         assert trace_norm(state.density().entries - rho.entries) < 1e-8
+
+
+class TestFullMatrixReference:
+    """gm_solve and mle_solve iterate a factor; the full-matrix gm_step and
+    mle_step are the independent code path their iterates must match, to
+    criterion 03's 1e-8."""
+
+    @staticmethod
+    def objective(homodyne10, kind, variant):
+        truth = random_density(10, 5, 90)
+        data = simulate_data(homodyne10, truth, 500.0, 91, noisy=variant == "noisy")
+        return Objective(homodyne10, data, kind=kind)
+
+    @staticmethod
+    def start(start):
+        return maximally_mixed(10) if start == "mixed" else random_density(10, 3, 92)
+
+    @pytest.mark.parametrize("start", ["mixed", "rank3"])
+    @pytest.mark.parametrize("variant", ["exact", "noisy"])
+    @pytest.mark.parametrize("kind", ["nll", "l2"])
+    def test_gm_solve_replays_through_gm_step(self, homodyne10, kind, variant, start):
+        obj = self.objective(homodyne10, kind, variant)
+        rho = self.start(start)
+        _, trace = gm_solve(rho, obj, max_iter=100, tol=0.0, keep_trace=True)
+        assert len(trace.eps_values) == 100
+        for eps, kept in zip(trace.eps_values, trace.iterates_kept[1:]):
+            rho = gm_step(rho, obj.gradient(rho), eps)
+            assert np.linalg.norm(rho.entries - kept.entries) < 1e-8
+
+    @pytest.mark.parametrize("start, steps", [("mixed", 100), ("rank3", 30)])
+    @pytest.mark.parametrize("variant", ["exact", "noisy"])
+    def test_mle_solve_matches_chained_mle_steps(self, homodyne10, variant, start, steps):
+        # from the rank-3 start the full-matrix reference amplifies its own
+        # kernel rounding about 1.3x per step: 1e-12 at step 30, and
+        # DensityLike rejects it as not PSD at step 55 (noisy) or 62 (exact)
+        obj = self.objective(homodyne10, "nll", variant)
+        rho = self.start(start)
+        final, trace = mle_solve(rho, obj, max_iter=steps, tol=0.0)
+        assert trace.iterations == steps
+        for _ in range(steps):
+            rho = mle_step(rho, obj)
+        assert np.linalg.norm(final.entries - rho.entries) < 1e-8
+
+
+class TestExactKernel:
+    def test_from_density_zeroes_the_kernel_and_fgd_keeps_it_zero(self, homodyne10):
+        # the kernel columns used to be square roots of rounding noise
+        state0 = FactorState.from_density(random_density(10, 3, 93), 10)
+        zero = ~state0.X.any(axis=0)
+        assert zero.sum() == 7
+        obj = Objective(homodyne10, homodyne10.apply(random_density(10, 5, 94)), kind="nll")
+        state, trace = fgd_solve(state0, obj, max_iter=200, tol=0.0)
+        assert trace.iterations == 200
+        assert not state.X[:, zero].any()
 
 
 class TestScaledFactorized:
