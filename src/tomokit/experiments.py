@@ -22,9 +22,16 @@ from .diagnostics import (
     ValidityCertificate,
     validity_certificate,
 )
-from .hermitian import DensityLike, load_matrix, random_density, save_matrix, trace_norm
+from .hermitian import (
+    DensityLike,
+    _json_number,
+    load_matrix,
+    random_density,
+    save_matrix,
+    trace_norm,
+)
 from .objectives import Objective
-from .operators import MeasurementData, MeasurementOperator, _json_number, operator_from_descriptor
+from .operators import MeasurementData, MeasurementOperator, operator_from_descriptor
 from .solvers import (
     FactorState,
     SolverTrace,
@@ -294,10 +301,14 @@ class RunRecord:
         return [flat[column] for column in RECORD_CSV_COLUMNS]
 
 
-def records_to_csv(records: list[RunRecord], path) -> None:
-    lines = [",".join(RECORD_CSV_COLUMNS)]
-    lines += [",".join(str(v) for v in rec.csv_row()) for rec in records]
+def _write_csv(path, columns: list[str], rows) -> None:
+    """A header line, then one line of str(value)s per row."""
+    lines = [",".join(columns)] + [",".join(str(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def records_to_csv(records: list[RunRecord], path) -> None:
+    _write_csv(path, RECORD_CSV_COLUMNS, (rec.csv_row() for rec in records))
 
 
 def records_to_json(records: list[RunRecord], path, config: dict | None = None) -> None:
@@ -305,6 +316,18 @@ def records_to_json(records: list[RunRecord], path, config: dict | None = None) 
     if config is not None:
         payload["config"] = config
     _write_json(Path(path), payload)
+
+
+def _write_records(out_dir, records: list[RunRecord], config: dict, summary=None) -> None:
+    """records.csv and records.json (with the config) under out_dir, and
+    summary.csv from the summary rows when given."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    records_to_csv(records, out / "records.csv")
+    records_to_json(records, out / "records.json", config=config)
+    if summary is not None:
+        rows = ([row[column] for column in SUMMARY_CSV_COLUMNS] for row in summary)
+        _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS, rows)
 
 
 def solver_id_of(cfg: dict) -> str:
@@ -442,10 +465,7 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
             )
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        records_to_csv(records, out / "records.csv")
-        records_to_json(records, out / "records.json", config=run_config)
+        _write_records(out_dir, records, run_config)
     return records
 
 
@@ -521,14 +541,7 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
         )
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        records_to_csv(records, out / "records.csv")
-        records_to_json(records, out / "records.json", config=config)
-        lines = [",".join(SUMMARY_CSV_COLUMNS)] + [
-            ",".join(repr(row[column]) for column in SUMMARY_CSV_COLUMNS) for row in summary
-        ]
-        (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_records(out_dir, records, config, summary)
     return records, summary
 
 

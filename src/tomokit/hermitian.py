@@ -143,6 +143,30 @@ def random_hermitian(N: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
 
 # --- serialization -----------------------------------------------------------
 
+def _json_number(value, name: str, kind=float):
+    """A numeric JSON field, converted by `kind` (float or int). Only an int or a
+    float is a number, not a boolean or a string, and an int field rejects a
+    non-integral value instead of truncating it."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError("not a number")
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {name} must be a number, got {value!r}") from exc
+    if kind is int and number != value:
+        raise ValueError(f"field {name} must be an integer, got {value!r}")
+    return number
+
+
+def _json_floats(value, name: str) -> np.ndarray:
+    """A JSON list of numbers, or a list of such lists, as a float array. Unless
+    every element is a float, each one goes through _json_number."""
+    items = np.array(value, dtype=object)
+    if {type(v) for v in items.flat} == {float}:
+        return items.astype(float)
+    return np.array([_json_number(v, name) for v in items.flat], dtype=float).reshape(items.shape)
+
+
 def matrix_to_json_dict(H) -> dict:
     arr = entries_of(H)
     return {
@@ -154,9 +178,9 @@ def matrix_to_json_dict(H) -> dict:
 
 def matrix_from_json_dict(payload: dict) -> HermitianMatrix:
     try:
-        dim = int(payload["dim"])
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
+        dim = _json_number(payload["dim"], "dim", int)
+        re = _json_floats(payload["re"], "re")
+        im = _json_floats(payload["im"], "im")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):

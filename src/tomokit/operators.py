@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERMITIAN_ATOL, HermitianMatrix, entries_of
+from .hermitian import HERMITIAN_ATOL, HermitianMatrix, _json_floats, _json_number, entries_of
 
 DATA_NEG_TOL = 1e-12
 
@@ -238,21 +238,6 @@ def homodyne_operator(
 
 # --- descriptors -------------------------------------------------------------
 
-def _json_number(value, name: str, kind=float):
-    """A numeric config field, converted by `kind` (float or int). A JSON boolean
-    is not a number, and an int field rejects a non-integral value instead of
-    truncating it."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config field {name} must be a number, got {value!r}") from exc
-    if kind is int and isinstance(value, float) and number != value:
-        raise ValueError(f"config field {name} must be an integer, got {value!r}")
-    return number
-
-
 def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
     """Build an operator from its JSON descriptor (kinds: pauli6, homodyne)."""
     if not isinstance(descriptor, dict):
@@ -264,8 +249,8 @@ def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
         try:
             return homodyne_operator(
                 _json_number(descriptor["dim"], "operator.dim", int),
-                descriptor["angles"],
-                descriptor["bin_edges"],
+                _json_floats(descriptor["angles"], "operator.angles"),
+                _json_floats(descriptor["bin_edges"], "operator.bin_edges"),
                 _json_number(descriptor.get("quad_order", 20), "operator.quad_order", int),
             )
         except KeyError as exc:

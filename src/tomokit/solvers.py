@@ -148,7 +148,10 @@ def _normalized_sandwich(A: np.ndarray, rho: np.ndarray) -> DensityLike:
 
 def mle_step(rho: DensityLike, obj: Objective) -> DensityLike:
     """One multiplicative likelihood update R(rho) rho R(rho) / tr(...), in full
-    matrices: the reference for the factorized kernel that mle_solve runs."""
+    matrices: a single-step reference for mle_solve's factorized kernel. Chained
+    on a rank-deficient state it grows the kernel's rounding about 1.3x per step,
+    until DensityLike rejects the iterate (after 55-62 steps from a rank-3 start
+    on homodyne10); the solves keep the kernel exactly zero."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the multiplicative likelihood step requires the nll objective")
     # The nll reweighting operator R is -grad F; the sandwich is even in it.
@@ -157,7 +160,8 @@ def mle_step(rho: DensityLike, obj: Objective) -> DensityLike:
 
 def gm_step(rho: DensityLike, g, eps: float) -> DensityLike:
     """One gradient-multiplication update with A = I - eps * g, in full matrices:
-    the reference for the factorized step that gm_solve runs."""
+    a single-step reference for gm_solve's factorized step, with mle_step's
+    rounding growth when chained on a rank-deficient state."""
     A = (-eps) * entries_of(g)
     A.flat[:: rho.dim + 1] += 1.0
     return _normalized_sandwich(A, rho.entries)
@@ -177,8 +181,10 @@ def _renormalized(half: np.ndarray) -> np.ndarray:
     return half * (1.0 / norm)
 
 
-def _fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-    return _renormalized(X - eps * (g @ X))
+def _fgd_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
+    """The plain factorized step eps -> normalize(X - eps * g X), without momentum."""
+    gX = g @ X
+    return None, lambda eps: _renormalized(X - eps * gX)
 
 
 def _mle_apply_arr(X: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -186,26 +192,23 @@ def _mle_apply_arr(X: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _renormalized((-g) @ X)
 
 
-def _shifted_gradient(X: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The factor gradient G X of the Lagrangian, G = g - tr(X* g X) I."""
+def _scaled_fgd_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
+    """The preconditioned step eps -> normalize(X - eps * G X (X* X + lam I)^-1) and the
+    gradient restart test Re <G X, X - X_prev> > 0, from one Lagrangian-shifted gradient
+    G X = g X - tr(X* g X) X with lam = ||G X||_F. The eps-free direction is solved
+    once, so a halved trial costs no solve."""
     GX = g @ X
     GX -= np.vdot(X, GX).real * X
-    return GX
-
-
-def _scaled_fgd_apply_arr(X: np.ndarray, g: np.ndarray, eps: float, GX=None) -> np.ndarray:
-    """Preconditioned step X - eps * G X (X* X + lam I)^-1 with the Lagrangian-shifted
-    gradient G X (computed from X and g unless given) and lam = ||G X||_F, renormalized."""
-    if GX is None:
-        GX = _shifted_gradient(X, g)
+    restart = np.vdot(GX, X - X_prev).real > 0.0
     lam = _norm(GX)
     if lam == 0.0:
         # No descent direction; X* X alone is singular for a factor with a zero column.
-        return _renormalized(X)
+        return restart, lambda eps: _renormalized(X)
     P = X.conj().T @ X
     P.flat[:: P.shape[0] + 1] += lam
     # G X P^-1 = (P^-T (G X)^T)^T, one solve for all rows.
-    return _renormalized(X - eps * np.linalg.solve(P.T, GX.T).T)
+    direction = np.linalg.solve(P.T, GX.T).T
+    return restart, lambda eps: _renormalized(X - eps * direction)
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -216,7 +219,7 @@ def _outer(X: np.ndarray) -> np.ndarray:
 def fgd_step(state: FactorState, obj: Objective, eps: float) -> FactorState:
     """One factorized descent update X - eps * grad F(X X*) X, renormalized."""
     g = obj._gradient_arr(_outer(state.X))
-    return FactorState(_fgd_apply_arr(state.X, g, eps))
+    return FactorState(_fgd_prepare(state.X, state.X, g)[1](eps))
 
 
 def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
@@ -243,6 +246,17 @@ def _check_stop_rule(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
 
 
+def _record_step(trace: SolverTrace, f: float, eps: float, d_rho, tol: float) -> bool:
+    """Append an accepted step's objective, eps and residual ||d_rho||_F to the trace,
+    and tell whether it stops the solve: trace_norm(d_rho) < tol. The eigensolve runs
+    only once the residual, its lower bound, is below tol."""
+    residual = _norm(d_rho)
+    trace.objective_values.append(f)
+    trace.eps_values.append(eps)
+    trace.residuals.append(residual)
+    return residual < tol and trace_norm(d_rho) < tol
+
+
 def _line_searched_solve(
     state: np.ndarray,
     obj: Objective,
@@ -250,31 +264,31 @@ def _line_searched_solve(
     max_iter: int,
     tol: float,
     density_of,
-    step_fn,
+    prepare,
     next_eps=None,
     certify=None,
-    extrapolate=None,
-    restart=None,
     keep_trace: bool = False,
 ):
     """Shared backtracking descent loop for every line-searched iteration.
 
-    `density_of` maps the raw state to its density array, `step_fn(state, g,
-    eps)` produces a trial state, and `next_eps(eps, d_rho, d_g)`, when given,
-    sets the first trial eps of the next step from the accepted eps and the
-    last density and gradient changes; without it eps carries over.
-    keep_trace keeps the raw states.
-    A raised DegenerateStateError counts as a failed trial and shrinks eps.
+    `density_of` maps the raw state to its density array. `prepare(state, prev,
+    g)` is called once for the start (with prev = state) and once per accepted
+    state, with the gradient g there; it returns (restart, step), where
+    `step(eps)` gives the plain trial state at eps and `restart` is None for a
+    solve without momentum, else whether the momentum restarts (k = 0) at this
+    state. With momentum, the first trial after k accepted steps since the last
+    restart is normalize(step(eps) + k / (k + 3) * (state - prev)); a failed or
+    degenerate momentum trial restarts and retries the plain step at the same
+    eps, and only failed plain trials halve eps. A raised DegenerateStateError
+    counts as a failed trial.
+    `next_eps(eps, d_rho, d_g)`, when given, sets the first trial eps of the
+    next step from the accepted eps and the last density and gradient changes;
+    without it eps carries over. keep_trace keeps the raw states.
     The solve stops `converged` at the first accepted step d_rho with
-    trace_norm(d_rho) < tol; the eigensolve runs only once ||d_rho||_F, its
-    lower bound and the recorded residual, is below tol.
-    `certify(rho, g)`, when given, is asked every CERTIFY_EVERY accepted steps
-    whether the density array rho with gradient g passes the validity
-    certificate; a pass stops the solve as converged.
-    `extrapolate(plain, momentum)` and `restart(state, prev, g)`, given
-    together, add momentum to the plain step as fgd_solve describes: restart
-    is asked after every accepted step, with the gradient g at the new state,
-    whether to drop the momentum; only failed plain trials shrink eps.
+    trace_norm(d_rho) < tol (see _record_step). `certify(rho, g)`, when given,
+    is asked every CERTIFY_EVERY accepted steps whether the density array rho
+    with gradient g passes the validity certificate; a pass also stops the
+    solve as converged.
     """
     _check_stop_rule(tol, max_iter)
     rho = density_of(state)
@@ -287,6 +301,7 @@ def _line_searched_solve(
     if keep_trace:
         trace.iterates_kept = [state]
 
+    _, step = prepare(state, state, g)
     prev, k = state, 0
     for _ in range(max_iter):
         plain = None
@@ -294,11 +309,10 @@ def _line_searched_solve(
             trace.trials += 1
             try:
                 if plain is None:
-                    plain = step_fn(state, g, eps)
+                    plain = step(eps)
                 candidate = plain
                 if k:
-                    momentum = (k / (k + 3)) * (state - prev)
-                    candidate = extrapolate(plain, momentum)
+                    candidate = _renormalized(plain + (k / (k + 3)) * (state - prev))
                 rho_cand = density_of(candidate)
                 p_cand = obj._forward_arr(rho_cand)
                 f_cand = obj._value_from(p_cand)
@@ -317,19 +331,17 @@ def _line_searched_solve(
                 return state, trace
 
         d_rho = rho_cand - rho
-        residual = _norm(d_rho)
         prev, state, rho, f = state, candidate, rho_cand, f_cand
         g_new = obj._gradient_from(p_cand)
-        k += extrapolate is not None
-        if k and restart(state, prev, g_new):
+        restart, step = prepare(state, prev, g_new)
+        if restart:
             k = 0
             trace.restarts += 1
-        trace.objective_values.append(f)
-        trace.eps_values.append(eps)
-        trace.residuals.append(residual)
+        elif restart is not None:
+            k += 1
         if keep_trace:
             trace.iterates_kept.append(state)
-        if (residual < tol and trace_norm(d_rho) < tol) or (
+        if _record_step(trace, f, eps, d_rho, tol) or (
             certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho, g_new)
         ):
             trace.stop_reason = CONVERGED
@@ -337,8 +349,6 @@ def _line_searched_solve(
         if next_eps is not None:
             eps = next_eps(eps, d_rho, g_new - g)
         g = g_new
-    else:
-        trace.stop_reason = MAX_ITER
 
     return state, trace
 
@@ -364,14 +374,8 @@ def gm_solve(
     """
     policy = policy or StepPolicy()
     final, trace = _line_searched_solve(
-        FactorState.from_density(rho0, rho0.dim).X,
-        obj,
-        policy,
-        max_iter,
-        tol,
-        density_of=_outer,
-        step_fn=_fgd_apply_arr,
-        keep_trace=keep_trace,
+        FactorState.from_density(rho0, rho0.dim).X, obj, policy, max_iter, tol,
+        density_of=_outer, prepare=_fgd_prepare, keep_trace=keep_trace,
     )
     if keep_trace:
         trace.iterates_kept = [DensityLike.from_array(_outer(X)) for X in trace.iterates_kept]
@@ -390,18 +394,21 @@ def fgd_solve(
 
     Iterates stay rank <= r, and a zero column stays exactly zero; the stop
     rule, residuals and objective values are measured on the outer products
-    X X*. gm_solve is this solve at r = N.
+    X X*. The plain step is X <- normalize(X - eps * grad F X); gm_solve is
+    this solve at r = N.
 
     precondition=True takes the scaled step
     X <- normalize(X - eps * G X (X* X + lam I)^-1), where
     G X = grad F X - tr(X* grad F X) X is the gradient of the Lagrangian
     (its fixed points are the KKT points) and lam = ||G X||_F. The right
     preconditioner restores a linear rate when r exceeds the rank of the
-    minimizer, where the plain step converges only at O(1/t). Its step
-    residual can stall above a tight tol once the iterate is already a
-    minimizer, so such a solve also runs the validity certificate every
-    CERTIFY_EVERY accepted steps and stops `converged` when it reads valid;
-    a check whose m_set_residual exceeds FIX_TOL reads not_fixed_point
+    minimizer, where the plain step converges only at O(1/t). Its prepare
+    hook (see _line_searched_solve) computes G X and the eps-free direction
+    G X (X* X + lam I)^-1 once per accepted state, so a halved trial costs no
+    solve. Its step residual can stall above a tight tol once the iterate is
+    already a minimizer, so such a solve also runs the validity certificate
+    every CERTIFY_EVERY accepted steps and stops `converged` when it reads
+    valid; a check whose m_set_residual exceeds FIX_TOL reads not_fixed_point
     without the certificate's eigensolves.
     It also carries momentum with adaptive restart (O'Donoghue and Candes,
     arXiv:1204.3982): the first trial is normalize(step(X) + beta (X - X_prev))
@@ -418,20 +425,9 @@ def fgd_solve(
     and stalls where the plain step converges.
     """
     policy = policy or StepPolicy()
-    step_fn, certify, extrapolate, restart = _fgd_apply_arr, None, None, None
+    prepare, certify = _fgd_prepare, None
     if precondition:
-        shifted = [None, None, None]  # X, g and G X of the last restart test, for the next step
-
-        def step_fn(X: np.ndarray, g: np.ndarray, eps: float) -> np.ndarray:
-            GX = shifted[2] if shifted[0] is X and shifted[1] is g else None
-            return _scaled_fgd_apply_arr(X, g, eps, GX)
-
-        def extrapolate(plain: np.ndarray, momentum: np.ndarray) -> np.ndarray:
-            return _renormalized(plain + momentum)
-
-        def restart(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray) -> bool:
-            shifted[:] = X, g, _shifted_gradient(X, g)
-            return np.vdot(shifted[2], X - X_prev).real > 0.0
+        prepare = _scaled_fgd_prepare
 
         def certify(rho: np.ndarray, g: np.ndarray) -> bool:
             if m_set_residual(rho, -g)[1] > FIX_TOL:
@@ -439,16 +435,8 @@ def fgd_solve(
             return _certificate(rho, g).verdict == VALID
 
     final, trace = _line_searched_solve(
-        np.array(state0.X),
-        obj,
-        policy,
-        max_iter,
-        tol,
-        density_of=_outer,
-        step_fn=step_fn,
-        certify=certify,
-        extrapolate=extrapolate,
-        restart=restart,
+        np.array(state0.X), obj, policy, max_iter, tol,
+        density_of=_outer, prepare=prepare, certify=certify,
     )
     return FactorState(final), trace
 
@@ -475,19 +463,11 @@ def mle_solve(
     for _ in range(max_iter):
         X = _mle_apply_arr(X, obj._gradient_from(p))
         trace.trials += 1
-        nxt = _outer(X)
-        step = nxt - rho
-        residual = _norm(step)
-        rho = nxt
+        prev, rho = rho, _outer(X)
         p = obj._forward_arr(rho)
-        trace.objective_values.append(obj._value_from(p))
-        trace.eps_values.append(math.nan)
-        trace.residuals.append(residual)
-        if residual < tol and trace_norm(step) < tol:
+        if _record_step(trace, obj._value_from(p), math.nan, rho - prev, tol):
             trace.stop_reason = CONVERGED
             break
-    else:
-        trace.stop_reason = MAX_ITER
 
     return DensityLike.from_array(rho), trace
 
@@ -506,15 +486,10 @@ def pgd_solve(
     the trace-norm step translate into a comparably tight first-order
     optimality residual.
     """
-    policy = StepPolicy(min_eps=1e-18)
     final, _trace = _line_searched_solve(
-        np.array(rho0.entries),
-        obj,
-        policy,
-        max_iter,
-        tol,
+        np.array(rho0.entries), obj, StepPolicy(min_eps=1e-18), max_iter, tol,
         density_of=lambda arr: arr,
-        step_fn=lambda arr, g, s: _project_density_arr(arr - s * g),
+        prepare=lambda arr, _prev, g: (None, lambda s: _project_density_arr(arr - s * g)),
         next_eps=_barzilai_borwein,
     )
     return DensityLike.from_array(final)

@@ -446,12 +446,14 @@ class TestCli:
             assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value", [("dim", 4.7), ("dim", True), ("quad_order", 20.9)]
+        "field, value",
+        [("dim", 4.7), ("dim", True), ("quad_order", 20.9), ("dim", "4"), ("angles", [0, "1"])],
     )
     def test_validate_rejects_non_integer_descriptor_fields(
         self, small_descriptor, field, value, tmp_path, capsys
     ):
-        # these built a dim-4, a dim-1 and a quad_order-20 operator
+        # these built a dim-4, a dim-1 and a quad_order-20 operator, a dim-4
+        # operator and one with angles 0 and 1
         state, config, data = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "d.csv"
         save_matrix(state, np.eye(4) / 4)
         MeasurementData(np.full((5, 12), 1.0 / 12)).save_csv(data)
@@ -537,13 +539,28 @@ class TestCli:
             ("generate", {"seed": False}, "seed must be a number"),
             ("generate", {"noise": {"scale": True}}, "noise.scale must be a number"),
             ("reconstruct", {"solvers": [{"rank": True}]}, "rank must be a number"),
+            # a JSON string used to parse as the number it spells
+            ("generate", {"ensemble": {"dim": "2", "ranks": [1]}}, "ensemble.dim must be a number"),
+            ("generate", {"noise": {"scale": "1e3"}}, "noise.scale must be a number"),
+            ("generate", {"seed": " 7 "}, "seed must be a number"),
+            ("generate", {"ensemble": {"dim": 2, "ranks": ["1"]}}, "ranks must be a number"),
+            ("rank-trap", {"true_rank": 1, "count": "1"}, "count must be a number"),
+            ("reconstruct", {"solvers": [{"tol": "1e-8"}]}, "tol must be a number"),
+            (
+                "rank-trap",
+                {"operator": {"kind": "homodyne", "dim": 2, "angles": [True, "0.5"],
+                              "bin_edges": [0, 1]}},
+                "operator.angles must be a number",
+            ),
         ],
         ids=[
             "rank-trap-count", "rank-trap-count-inf", "rank-trap-seed", "rank-trap-tol",
             "rank-trap-homodyne-dim", "generate-seed", "generate-ranks", "reconstruct-max-iter",
             "rank-trap-count-fraction", "generate-count-per-rank-fraction",
             "reconstruct-max-iter-fraction", "rank-trap-count-bool", "generate-seed-bool",
-            "generate-noise-scale-bool", "reconstruct-rank-bool",
+            "generate-noise-scale-bool", "reconstruct-rank-bool", "generate-dim-str",
+            "generate-noise-scale-str", "generate-seed-str", "generate-ranks-str",
+            "rank-trap-count-str", "reconstruct-tol-str", "rank-trap-homodyne-angles-bool-str",
         ],
     )
     def test_rejects_non_number_config_fields(self, command, config, message, tmp_path, capsys):

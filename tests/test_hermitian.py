@@ -167,6 +167,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             matrix_from_json_dict({"dim": 3, "re": [[1.0]], "im": [[0.0]]})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dim", "2", "dim must be a number"),
+            ("dim", True, "dim must be a number"),
+            ("dim", 2.7, "dim must be an integer"),
+            ("re", [[0.5, "0"], [0, 0.5]], "re must be a number"),
+            ("im", [[False, 0], [0, 0]], "im must be a number"),
+        ],
+    )
+    def test_reader_rejects_non_number_fields(self, field, value, message):
+        # int() and np.asarray(..., dtype=float) read these as 2, 1, 2, 0.0 and 0.0
+        payload = {**matrix_to_json_dict(np.eye(2) / 2), field: value}
+        with pytest.raises(ValueError, match=message):
+            matrix_from_json_dict(payload)
+
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "m.json"
         save_matrix(path, np.eye(2))

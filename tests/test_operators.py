@@ -346,6 +346,8 @@ class TestDescriptors:
             ("dim", True, "operator.dim must be a number"),
             ("quad_order", 20.9, "operator.quad_order must be an integer"),
             ("quad_order", False, "operator.quad_order must be a number"),
+            ("dim", "4", "operator.dim must be a number"),
+            ("quad_order", "20", "operator.quad_order must be a number"),
         ],
     )
     def test_integer_fields_reject_fractions_and_booleans(
@@ -355,3 +357,17 @@ class TestDescriptors:
         # and quad_order 20 from 20.9
         with pytest.raises(ValueError, match=message):
             operator_from_descriptor({**small_descriptor, field: value})
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [("angles", 1, True), ("angles", 0, "0.5"), ("bin_edges", 3, "1"), ("bin_edges", 0, None)],
+    )
+    def test_list_fields_reject_non_number_elements(
+        self, small_descriptor, field, index, value
+    ):
+        # the list went through np.asarray(..., dtype=float): true read as 1.0
+        # and "0.5" as 0.5
+        values = list(small_descriptor[field])
+        values[index] = value
+        with pytest.raises(ValueError, match=f"operator.{field} must be a number"):
+            operator_from_descriptor({**small_descriptor, field: values})

@@ -32,7 +32,7 @@ from tomokit.solvers import (
     pgd_solve,
     _norm,
     _outer,
-    _scaled_fgd_apply_arr,
+    _scaled_fgd_prepare,
 )
 
 from conftest import conditioned_full_rank, maximally_mixed
@@ -469,7 +469,7 @@ class TestScaledFactorized:
         X = FactorState.from_density(rho_fix, 1).X
         g = obj._gradient_arr(_outer(X))
         for eps in (0.1, 0.5):
-            out = _scaled_fgd_apply_arr(X, g, eps)
+            out = _scaled_fgd_prepare(X, X, g)[1](eps)
             assert trace_norm(_outer(out) - _outer(X)) < 1e-12
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 8.0 / 11.0])
@@ -483,7 +483,7 @@ class TestScaledFactorized:
         for obj in (Objective(t2, data, kind="nll"), Objective(t2, own, kind="l2")):
             g = obj._gradient_arr(_outer(X))
             for eps in (0.1, 0.5):
-                out = _scaled_fgd_apply_arr(X, g, eps)
+                out = _scaled_fgd_prepare(X, X, g)[1](eps)
                 assert trace_norm(_outer(out) - _outer(X)) < 1e-12
                 assert np.abs(out[:, 1]).max() == 0.0
         state, trace = fgd_solve(FactorState(X), obj, max_iter=50, precondition=True)
@@ -547,6 +547,23 @@ class TestScaledFactorized:
         eps0 = default_eps(obj, state0.density())
         assert trace.trials > trace.iterations + halvings(trace, eps0)
         assert np.abs(state.X[:, 2]).max() == 0.0
+
+    def test_halved_trials_reuse_the_solved_direction(self, homodyne_small, monkeypatch):
+        # the eps-free direction G X (X* X + lam I)^-1 is solved once per
+        # accepted state; every halved trial used to solve it again
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        truth = random_density(4, 2, 92)
+        obj = Objective(homodyne_small, homodyne_small.apply(truth), kind="nll")
+        state0 = FactorState.from_density(random_density(4, 3, 93), 3)
+        _, trace = fgd_solve(
+            state0, obj, StepPolicy(initial_eps=1e3), max_iter=300, tol=0.0, precondition=True
+        )
+        assert trace.iterations == 300
+        assert trace.eps_values[-1] < 1e3  # eps was halved
+        assert len(calls) <= trace.iterations + 1
+        assert type(trace.restarts) is int
 
     def test_solves_without_momentum_never_restart(self, homodyne_small):
         truth = random_density(4, 2, 80)
