@@ -22,16 +22,14 @@ from .diagnostics import (
     ValidityCertificate,
     validity_certificate,
 )
-from .hermitian import (
-    DensityLike,
-    _json_number,
-    load_matrix,
-    random_density,
-    save_matrix,
-    trace_norm,
-)
+from .hermitian import DensityLike, load_matrix, random_density, save_matrix, trace_norm
 from .objectives import Objective
-from .operators import MeasurementData, MeasurementOperator, operator_from_descriptor
+from .operators import (
+    MeasurementData,
+    MeasurementOperator,
+    _config_number,
+    operator_from_descriptor,
+)
 from .solvers import (
     FactorState,
     SolverTrace,
@@ -199,13 +197,13 @@ def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> Experimen
     count = ensemble.get("count_per_rank", 1)
     return ExperimentSpec(
         operator=config["operator"],
-        dim=_json_number(ensemble["dim"], "ensemble.dim", int),
-        ranks=[_json_number(r, "ensemble.ranks", int) for r in ranks],
-        count_per_rank=_json_number(count, "ensemble.count_per_rank", int),
-        noise_scale=_json_number(noise.get("scale", 500.0), "noise.scale"),
+        dim=_config_number(ensemble["dim"], "ensemble.dim", int),
+        ranks=[_config_number(r, "ensemble.ranks", int) for r in ranks],
+        count_per_rank=_config_number(count, "ensemble.count_per_rank", int),
+        noise_scale=_config_number(noise.get("scale", 500.0), "noise.scale"),
         noise_enabled=_json_bool(noise.get("enabled", True), "noise.enabled"),
         solvers=_json_list(config.get("solvers", []), "solvers"),
-        seed=_json_number(config.get("seed", 0) if seed is None else seed, "seed", int),
+        seed=_config_number(config.get("seed", 0) if seed is None else seed, "seed", int),
         output_dir=str(config.get("output_dir", ".") if output_dir is None else output_dir),
     )
 
@@ -332,7 +330,7 @@ def _write_records(out_dir, records: list[RunRecord], config: dict, summary=None
 
 def solver_id_of(cfg: dict) -> str:
     rank = cfg.get("rank")
-    rank_tag = "full" if rank is None else f"r{_json_number(rank, 'rank', int)}"
+    rank_tag = "full" if rank is None else f"r{_config_number(rank, 'rank', int)}"
     return f"{cfg.get('solver', 'gm')}-{cfg.get('fit', 'nll')}-{rank_tag}"
 
 
@@ -352,16 +350,16 @@ def run_solver_config(
     """
     kind = cfg.get("solver", "gm")
     obj = Objective(operator, data, kind=cfg.get("fit", "nll"))
-    tol = _json_number(cfg.get("tol", 1e-10), "tol")
-    max_iter = _json_number(cfg.get("max_iter", 20000), "max_iter", int)
+    tol = _config_number(cfg.get("tol", 1e-10), "tol")
+    max_iter = _config_number(cfg.get("max_iter", 20000), "max_iter", int)
     rank = cfg.get("rank")
     N = operator.dim
 
     if rank is None:
         rho0 = DensityLike.from_array(np.eye(N, dtype=complex) / N)
     else:
-        rank = _json_number(rank, "rank", int)
-        seed = _json_number(cfg.get("seed", 0), "seed", int)
+        rank = _config_number(rank, "rank", int)
+        seed = _config_number(cfg.get("seed", 0), "seed", int)
         rho0 = random_density(N, rank, derive_seed(seed, instance_seed))
 
     if kind == "pgd":
@@ -424,8 +422,8 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     solver_cfgs = _json_list(solver_cfgs, "solvers")
     solver_cfgs = [_json_object(cfg, f"solvers[{i}]") for i, cfg in enumerate(solver_cfgs)]
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle")
-    oracle_max_iter = _json_number(oracle_cfg.get("max_iter", 20000), "oracle.max_iter", int)
-    oracle_tol = _json_number(oracle_cfg.get("tol", 1e-10), "oracle.tol")
+    oracle_max_iter = _config_number(oracle_cfg.get("max_iter", 20000), "oracle.max_iter", int)
+    oracle_tol = _config_number(oracle_cfg.get("tol", 1e-10), "oracle.tol")
 
     records = []
     for index, entry in enumerate(manifest["instances"]):
@@ -489,10 +487,10 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     """
     operator = operator_from_descriptor(config["operator"])
     N = operator.dim
-    true_rank = _json_number(config.get("true_rank", 5), "true_rank", int)
-    count = _json_number(config.get("count", 10), "count", int)
+    true_rank = _config_number(config.get("true_rank", 5), "true_rank", int)
+    count = _config_number(config.get("count", 10), "count", int)
     start_ranks = _json_list(config.get("start_ranks", list(range(1, N + 1))), "start_ranks")
-    start_ranks = [_json_number(r, "start_ranks", int) for r in start_ranks]
+    start_ranks = [_config_number(r, "start_ranks", int) for r in start_ranks]
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     for r in start_ranks:
@@ -500,9 +498,9 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
             raise ValueError(f"start rank {r} outside [1, {N}]")
     fit = config.get("fit", "nll")
     solver_cfg = _json_object(config.get("solver", {}), "solver")
-    tol = _json_number(solver_cfg.get("tol", 1e-12), "solver.tol")
-    max_iter = _json_number(solver_cfg.get("max_iter", 20000), "solver.max_iter", int)
-    seed = _json_number(config.get("seed", 0), "seed", int)
+    tol = _config_number(solver_cfg.get("tol", 1e-12), "solver.tol")
+    max_iter = _config_number(solver_cfg.get("max_iter", 20000), "solver.max_iter", int)
+    seed = _config_number(config.get("seed", 0), "seed", int)
 
     records = []
     by_start_rank: dict[int, list[RunRecord]] = {r: [] for r in start_ranks}

@@ -8,6 +8,7 @@ safe to share between threads.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,27 +145,29 @@ def random_hermitian(N: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
 # --- serialization -----------------------------------------------------------
 
 def _json_number(value, name: str, kind=float):
-    """A numeric JSON field, converted by `kind` (float or int). Only an int or a
-    float is a number, not a boolean or a string, and an int field rejects a
-    non-integral value instead of truncating it."""
+    """A numeric JSON field, converted by `kind` (float or int); `name` labels it in
+    the error. Only a real number that is not a boolean counts (an int, a float or
+    a numpy number, not a string), and an int field rejects a non-integral value
+    instead of truncating it."""
     try:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError("not a number")
         number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"field {name} must be a number, got {value!r}") from exc
+        raise ValueError(f"{name} must be a number, got {value!r}") from exc
     if kind is int and number != value:
-        raise ValueError(f"field {name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return number
 
 
 def _json_floats(value, name: str) -> np.ndarray:
-    """A JSON list of numbers, or a list of such lists, as a float array. Unless
-    every element is a float, each one goes through _json_number."""
+    """A JSON list of numbers, or a list of such lists, as a float array; every
+    element that is not a float goes through _json_number."""
     items = np.array(value, dtype=object)
-    if {type(v) for v in items.flat} == {float}:
-        return items.astype(float)
-    return np.array([_json_number(v, name) for v in items.flat], dtype=float).reshape(items.shape)
+    for v in items.flat:
+        if type(v) is not float:
+            _json_number(v, name)
+    return items.astype(float)
 
 
 def matrix_to_json_dict(H) -> dict:
@@ -178,9 +181,9 @@ def matrix_to_json_dict(H) -> dict:
 
 def matrix_from_json_dict(payload: dict) -> HermitianMatrix:
     try:
-        dim = _json_number(payload["dim"], "dim", int)
-        re = _json_floats(payload["re"], "re")
-        im = _json_floats(payload["im"], "im")
+        dim = _json_number(payload["dim"], "field dim", int)
+        re = _json_floats(payload["re"], "field re")
+        im = _json_floats(payload["im"], "field im")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix payload: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -238,6 +238,11 @@ def homodyne_operator(
 
 # --- descriptors -------------------------------------------------------------
 
+def _config_number(value, name: str, kind=float):
+    """A number config field: _json_number, with the config field's name in its error."""
+    return _json_number(value, f"config field {name}", kind)
+
+
 def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
     """Build an operator from its JSON descriptor (kinds: pauli6, homodyne)."""
     if not isinstance(descriptor, dict):
@@ -248,10 +253,10 @@ def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
     if kind == "homodyne":
         try:
             return homodyne_operator(
-                _json_number(descriptor["dim"], "operator.dim", int),
-                _json_floats(descriptor["angles"], "operator.angles"),
-                _json_floats(descriptor["bin_edges"], "operator.bin_edges"),
-                _json_number(descriptor.get("quad_order", 20), "operator.quad_order", int),
+                _config_number(descriptor["dim"], "operator.dim", int),
+                _json_floats(descriptor["angles"], "config field operator.angles"),
+                _json_floats(descriptor["bin_edges"], "config field operator.bin_edges"),
+                _config_number(descriptor.get("quad_order", 20), "operator.quad_order", int),
             )
         except KeyError as exc:
             raise ValueError(f"homodyne descriptor missing field {exc}") from exc

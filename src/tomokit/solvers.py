@@ -374,8 +374,14 @@ def gm_solve(
     """
     policy = policy or StepPolicy()
     final, trace = _line_searched_solve(
-        FactorState.from_density(rho0, rho0.dim).X, obj, policy, max_iter, tol,
-        density_of=_outer, prepare=_fgd_prepare, keep_trace=keep_trace,
+        FactorState.from_density(rho0, rho0.dim).X,
+        obj,
+        policy,
+        max_iter,
+        tol,
+        density_of=_outer,
+        prepare=_fgd_prepare,
+        keep_trace=keep_trace,
     )
     if keep_trace:
         trace.iterates_kept = [DensityLike.from_array(_outer(X)) for X in trace.iterates_kept]
@@ -435,8 +441,14 @@ def fgd_solve(
             return _certificate(rho, g).verdict == VALID
 
     final, trace = _line_searched_solve(
-        np.array(state0.X), obj, policy, max_iter, tol,
-        density_of=_outer, prepare=prepare, certify=certify,
+        np.array(state0.X),
+        obj,
+        policy,
+        max_iter,
+        tol,
+        density_of=_outer,
+        prepare=prepare,
+        certify=certify,
     )
     return FactorState(final), trace
 
@@ -486,8 +498,13 @@ def pgd_solve(
     the trace-norm step translate into a comparably tight first-order
     optimality residual.
     """
+    policy = StepPolicy(min_eps=1e-18)
     final, _trace = _line_searched_solve(
-        np.array(rho0.entries), obj, StepPolicy(min_eps=1e-18), max_iter, tol,
+        np.array(rho0.entries),
+        obj,
+        policy,
+        max_iter,
+        tol,
         density_of=lambda arr: arr,
         prepare=lambda arr, _prev, g: (None, lambda s: _project_density_arr(arr - s * g)),
         next_eps=_barzilai_borwein,

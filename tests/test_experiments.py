@@ -540,9 +540,13 @@ class TestCli:
             ("generate", {"noise": {"scale": True}}, "noise.scale must be a number"),
             ("reconstruct", {"solvers": [{"rank": True}]}, "rank must be a number"),
             # a JSON string used to parse as the number it spells
-            ("generate", {"ensemble": {"dim": "2", "ranks": [1]}}, "ensemble.dim must be a number"),
-            ("generate", {"noise": {"scale": "1e3"}}, "noise.scale must be a number"),
-            ("generate", {"seed": " 7 "}, "seed must be a number"),
+            (
+                "generate",
+                {"ensemble": {"dim": "2", "ranks": [1]}},
+                "config field ensemble.dim must be a number",
+            ),
+            ("generate", {"noise": {"scale": "1e3"}}, "config field noise.scale must be a number"),
+            ("generate", {"seed": " 7 "}, "config field seed must be a number"),
             ("generate", {"ensemble": {"dim": 2, "ranks": ["1"]}}, "ranks must be a number"),
             ("rank-trap", {"true_rank": 1, "count": "1"}, "count must be a number"),
             ("reconstruct", {"solvers": [{"tol": "1e-8"}]}, "tol must be a number"),
@@ -550,7 +554,7 @@ class TestCli:
                 "rank-trap",
                 {"operator": {"kind": "homodyne", "dim": 2, "angles": [True, "0.5"],
                               "bin_edges": [0, 1]}},
-                "operator.angles must be a number",
+                "config field operator.angles must be a number",
             ),
         ],
         ids=[
@@ -603,6 +607,19 @@ class TestCli:
         ensemble = {"dim": 2.0, "ranks": [1.0], "count_per_rank": 2.0}
         spec = parse_experiment_spec({"operator": {"kind": "pauli6"}, "ensemble": ensemble})
         assert (spec.dim, spec.ranks, spec.count_per_rank) == (2, [1], 2)
+
+    def test_numpy_numbers_parse(self):
+        # a Python caller may build a config from numpy scalars
+        config = {
+            "operator": {"kind": "pauli6"},
+            "ensemble": {"dim": np.int64(2), "ranks": [np.int32(1)], "count_per_rank": np.int64(2)},
+            "noise": {"scale": np.float32(100.0)},
+            "seed": np.uint8(7),
+        }
+        spec = parse_experiment_spec(config)
+        assert (spec.dim, spec.ranks, spec.count_per_rank, spec.seed) == (2, [1], 2, 7)
+        assert spec.noise_scale == 100.0
+        assert type(spec.dim) is int and type(spec.noise_scale) is float
 
     @pytest.mark.parametrize("enabled", ["false", 0, None])
     def test_rejects_non_boolean_noise_flag(self, enabled, tmp_path, capsys):

@@ -183,6 +183,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             matrix_from_json_dict(payload)
 
+    def test_reader_accepts_numpy_numbers(self):
+        payload = {"dim": np.int64(2), "re": [[np.float32(0.5), 0], [0, np.float64(0.5)]],
+                   "im": [[0, np.int8(0)], [0.0, 0.0]]}
+        assert np.array_equal(matrix_from_json_dict(payload).entries, np.eye(2) / 2)
+
     def test_file_is_plain_json(self, tmp_path):
         path = tmp_path / "m.json"
         save_matrix(path, np.eye(2))

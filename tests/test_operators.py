@@ -369,5 +369,5 @@ class TestDescriptors:
         # and "0.5" as 0.5
         values = list(small_descriptor[field])
         values[index] = value
-        with pytest.raises(ValueError, match=f"operator.{field} must be a number"):
+        with pytest.raises(ValueError, match=f"config field operator.{field} must be a number"):
             operator_from_descriptor({**small_descriptor, field: values})
