@@ -17,6 +17,11 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _out_dir(args, config: dict) -> str:
+    """--out, else the config's output_dir, else the working directory."""
+    return args.out or experiments._json_str(config.get("output_dir", "."), "output_dir") or "."
+
+
 def _cmd_generate(args) -> int:
     spec = experiments.parse_experiment_spec(
         _load_config(args.config), output_dir=args.out, seed=args.seed
@@ -28,7 +33,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     config = _load_config(args.config)
-    out = args.out or config.get("output_dir") or "."
+    out = _out_dir(args, config)
     records = experiments.reconstruct_dataset(args.dataset, config, out_dir=out)
     converged = sum(rec.stop_reason == "converged" for rec in records)
     print(f"wrote {len(records)} records to {out} ({converged} converged)")
@@ -39,7 +44,7 @@ def _cmd_rank_trap(args) -> int:
     config = _load_config(args.config)
     if args.seed is not None:
         config["seed"] = args.seed
-    out = args.out or config.get("output_dir") or "."
+    out = _out_dir(args, config)
     _records, summary = experiments.rank_trap(config, out_dir=out)
     columns = experiments.SUMMARY_CSV_COLUMNS
     print("  ".join(columns))

@@ -190,11 +190,20 @@ def _json_bool(value, name: str) -> bool:
     return value
 
 
+def _json_str(value, name: str) -> str:
+    """A text config field, such as a path or a data variant, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"config field {name} must be a JSON string, got {value!r}")
+    return value
+
+
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
     ensemble = _json_object(config.get("ensemble", {}), "ensemble")
     noise = _json_object(config.get("noise", {}), "noise")
     ranks = _json_list(ensemble["ranks"], "ensemble.ranks")
     count = ensemble.get("count_per_rank", 1)
+    if output_dir is None:
+        output_dir = _json_str(config.get("output_dir", "."), "output_dir")
     return ExperimentSpec(
         operator=config["operator"],
         dim=_config_number(ensemble["dim"], "ensemble.dim", int),
@@ -204,7 +213,7 @@ def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> Experimen
         noise_enabled=_json_bool(noise.get("enabled", True), "noise.enabled"),
         solvers=_json_list(config.get("solvers", []), "solvers"),
         seed=_config_number(config.get("seed", 0) if seed is None else seed, "seed", int),
-        output_dir=str(config.get("output_dir", ".") if output_dir is None else output_dir),
+        output_dir=str(output_dir),
     )
 
 
@@ -237,7 +246,7 @@ def generate_dataset(spec: ExperimentSpec) -> dict:
             truth_seed = derive_seed(spec.seed, rank, idx, 0)
             noise_seed = derive_seed(spec.seed, rank, idx, 1)
             truth = random_density(spec.dim, rank, truth_seed)
-            save_matrix(inst_dir / "truth.json", truth.matrix)
+            save_matrix(inst_dir / "truth.json", truth)
             exact = simulate_data(operator, truth, spec.noise_scale, 0, noisy=False)
             exact.save_csv(inst_dir / "exact.csv")
             files = {"truth": "truth.json", "exact": "exact.csv"}
@@ -431,8 +440,9 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
         truth_desc = {"rank": entry["rank"], "seed": entry["truth_seed"]}
         data_cache: dict[str, MeasurementData] = {}
         oracle_cache: dict[tuple[str, str], DensityLike] = {}
-        for cfg in solver_cfgs:
-            variant = cfg.get("data", "noisy" if "noisy" in entry["files"] else "exact")
+        default = "noisy" if "noisy" in entry["files"] else "exact"
+        for i, cfg in enumerate(solver_cfgs):
+            variant = _json_str(cfg.get("data", default), f"solvers[{i}].data")
             if variant not in entry["files"]:
                 raise ValueError(f"instance {entry['id']} has no {variant!r} data")
             if variant not in data_cache:

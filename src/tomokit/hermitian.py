@@ -27,9 +27,7 @@ def _as_square_complex(entries) -> np.ndarray:
 
 
 def entries_of(value) -> np.ndarray:
-    """Unwrap HermitianMatrix/DensityLike to a plain complex array (pass arrays through)."""
-    if isinstance(value, DensityLike):
-        return value.matrix.entries
+    """Unwrap a HermitianMatrix (a DensityLike is one) to its complex array; pass arrays through."""
     if isinstance(value, HermitianMatrix):
         return value.entries
     return np.asarray(value, dtype=np.complex128)
@@ -37,12 +35,12 @@ def entries_of(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """An N x N complex matrix certified Hermitian at construction."""
+    """An N x N complex matrix, certified Hermitian when built from an array or HermitianMatrix."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_square_complex(self.entries)
+        arr = _as_square_complex(entries_of(self.entries))
         if not np.isfinite(arr).all():
             raise ValueError("matrix has non-finite entries")
         deviation = float(np.abs(arr - arr.conj().T).max())
@@ -61,33 +59,21 @@ class HermitianMatrix:
         return float(self.entries.trace().real)
 
 
-@dataclass(frozen=True)
-class DensityLike:
+class DensityLike(HermitianMatrix):
     """A Hermitian matrix certified positive semi-definite with unit trace."""
 
-    matrix: HermitianMatrix
-
     def __post_init__(self):
-        if not isinstance(self.matrix, HermitianMatrix):
-            object.__setattr__(self, "matrix", HermitianMatrix(self.matrix))
-        tr = self.matrix.trace()
+        super().__post_init__()
+        tr = self.trace()
         if abs(tr - 1.0) > TRACE_RTOL:
             raise ValueError(f"trace {tr!r} deviates from 1")
-        min_eig = float(np.linalg.eigvalsh(self.matrix.entries)[0])
+        min_eig = float(np.linalg.eigvalsh(self.entries)[0])
         if min_eig < -PSD_EIG_TOL:
             raise ValueError(f"matrix is not PSD: min eigenvalue {min_eig:.3e}")
 
     @classmethod
     def from_array(cls, entries) -> "DensityLike":
-        return cls(HermitianMatrix(entries))
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.matrix.entries
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
+        return cls(entries)
 
 
 def trace_norm(A) -> float:

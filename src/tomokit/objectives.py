@@ -48,9 +48,6 @@ class Objective:
         object.__setattr__(self, "kind", kind)
 
     # Forward values are shared between value and gradient in solver loops.
-    def _forward_arr(self, rho: np.ndarray) -> np.ndarray:
-        return self.operator._apply_arr(rho)
-
     def _value_from(self, p: np.ndarray) -> float:
         y = self.data.values
         if self.kind == NEG_LOG_LIKELIHOOD:
@@ -67,10 +64,10 @@ class Objective:
         return self.operator._adjoint_arr(weights)
 
     def _value_arr(self, rho: np.ndarray) -> float:
-        return self._value_from(self._forward_arr(rho))
+        return self._value_from(self.operator._apply_arr(rho))
 
     def _gradient_arr(self, rho: np.ndarray) -> np.ndarray:
-        return self._gradient_from(self._forward_arr(rho))
+        return self._gradient_from(self.operator._apply_arr(rho))
 
     def value(self, rho) -> float:
         """F(rho); the log/division guard keeps it finite near the PSD boundary."""

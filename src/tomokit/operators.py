@@ -50,8 +50,7 @@ class MeasurementData:
 
     @classmethod
     def load_csv(cls, path) -> "MeasurementData":
-        arr = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-        return cls(arr)
+        return cls(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2))
 
 
 def _data_values(data) -> np.ndarray:

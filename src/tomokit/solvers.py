@@ -292,7 +292,7 @@ def _line_searched_solve(
     """
     _check_stop_rule(tol, max_iter)
     rho = density_of(state)
-    p = obj._forward_arr(rho)
+    p = obj.operator._apply_arr(rho)
     f = obj._value_from(p)
     g = obj._gradient_from(p)
     eps = policy.resolve_initial(float(np.linalg.norm(g)))
@@ -314,7 +314,7 @@ def _line_searched_solve(
                 if k:
                     candidate = _renormalized(plain + (k / (k + 3)) * (state - prev))
                 rho_cand = density_of(candidate)
-                p_cand = obj._forward_arr(rho_cand)
+                p_cand = obj.operator._apply_arr(rho_cand)
                 f_cand = obj._value_from(p_cand)
             except DegenerateStateError:
                 f_cand = math.inf
@@ -469,14 +469,14 @@ def mle_solve(
     _check_stop_rule(tol, max_iter)
     X = FactorState.from_density(rho0, rho0.dim).X
     rho = _outer(X)
-    p = obj._forward_arr(rho)
+    p = obj.operator._apply_arr(rho)
     trace = SolverTrace(objective_values=[obj._value_from(p)])
 
     for _ in range(max_iter):
         X = _mle_apply_arr(X, obj._gradient_from(p))
         trace.trials += 1
         prev, rho = rho, _outer(X)
-        p = obj._forward_arr(rho)
+        p = obj.operator._apply_arr(rho)
         if _record_step(trace, obj._value_from(p), math.nan, rho - prev, tol):
             trace.stop_reason = CONVERGED
             break

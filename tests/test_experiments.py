@@ -363,16 +363,16 @@ class TestValidateCommand:
         obj = Objective(t2, data, kind="nll")
         oracle = pgd_solve(maximally_mixed(2), obj, max_iter=20000, tol=1e-13)
 
-        s, c, d, config = self.write_setup(tmp_path, oracle.matrix, data.values)
+        s, c, d, config = self.write_setup(tmp_path, oracle, data.values)
         cert, code = validate_state(s, config, d)
         assert (cert.verdict, code) == (VALID, 0)
 
-        s, c, d, config = self.write_setup(tmp_path, rho_fix.matrix, data.values)
+        s, c, d, config = self.write_setup(tmp_path, rho_fix, data.values)
         cert, code = validate_state(s, config, d)
         assert (cert.verdict, code) == (SPURIOUS, 2)
 
         random_state = random_density(2, 2, 99)
-        s, c, d, config = self.write_setup(tmp_path, random_state.matrix, data.values)
+        s, c, d, config = self.write_setup(tmp_path, random_state, data.values)
         cert, code = validate_state(s, config, d)
         assert code == 3
 
@@ -418,7 +418,7 @@ class TestCli:
     def test_validate_cli_exit_codes(self, tmp_path, capsys):
         rho_fix, data, _ = construct_spurious_t2(0.5)
         state = tmp_path / "state.json"
-        save_matrix(state, rho_fix.matrix)
+        save_matrix(state, rho_fix)
         data_path = tmp_path / "data.csv"
         data.save_csv(data_path)
         cfg = tmp_path / "obj.json"
@@ -590,10 +590,47 @@ class TestCli:
         assert self.run_with_config(command, config, tmp_path) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("reconstruct", {"solvers": [{"data": ["noisy"]}]}, "solvers[0].data must be a JSON"),
+            ("reconstruct", {"solvers": [{}, {"data": {"v": 1}}]}, "solvers[1].data must be a"),
+            ("reconstruct", {"solvers": [{"data": "clean"}]}, "has no 'clean' data"),
+            (
+                "reconstruct",
+                {"solvers": [{"max_iter": 5}], "output_dir": 5},
+                "config field output_dir must be a JSON string",
+            ),
+            (
+                "rank-trap",
+                {"true_rank": 1, "count": 1, "start_ranks": [1], "output_dir": ["x"]},
+                "config field output_dir must be a JSON string",
+            ),
+            ("generate", {"output_dir": ["y"]}, "config field output_dir must be a JSON string"),
+        ],
+        ids=[
+            "reconstruct-data-list", "reconstruct-data-object", "reconstruct-data-unknown",
+            "reconstruct-output-dir", "rank-trap-output-dir", "generate-output-dir",
+        ],
+    )
+    def test_rejects_non_string_config_fields(
+        self, command, config, message, tmp_path, capsys, monkeypatch
+    ):
+        # a list or an object used to raise a TypeError, or name a directory "['y']"
+        monkeypatch.chdir(tmp_path)
+        has_output_dir = "output_dir" in config
+        assert self.run_with_config(command, config, tmp_path, out=not has_output_dir) == 1
+        assert message in capsys.readouterr().err
+        assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "data"}
+        if has_output_dir:  # --out takes precedence over the config field
+            assert self.run_with_config(command, config, tmp_path) == 0
+
     @staticmethod
-    def run_with_config(command, config, tmp_path) -> int:
+    def run_with_config(command, config, tmp_path, out=True) -> int:
         cfg = tmp_path / "cfg.json"
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        argv = [command, "--config", str(cfg)]
+        if out:
+            argv += ["--out", str(tmp_path / "out")]
         spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}}
         if command == "reconstruct":
             generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
@@ -664,6 +701,19 @@ class TestCli:
         assert main(["rank-trap", "--config", str(cfg), "--out", str(out_dir)]) == 0
         assert (out_dir / "summary.csv").exists()
         assert "start_rank" in capsys.readouterr().out
+
+    def test_one_outcome_pipeline(self, tmp_path, capsys):
+        # A one-bin dataset used to read its (3, 1) data back as (1, 3) and stop reconstruct.
+        operator = {"kind": "homodyne", "dim": 2, "angles": [0, 1, 2], "bin_edges": [-6.0, 6.0]}
+        gen_cfg, run_cfg = tmp_path / "gen.json", tmp_path / "run.json"
+        gen_cfg.write_text(json.dumps({"operator": operator, "ensemble": {"dim": 2, "ranks": [1]}}))
+        run_cfg.write_text(json.dumps({"solvers": [{"solver": "gm", "max_iter": 200}]}))
+        data_dir, out_dir = tmp_path / "data", tmp_path / "runs"
+        assert main(["generate", "--config", str(gen_cfg), "--out", str(data_dir)]) == 0
+        argv = ["reconstruct", "--config", str(run_cfg), "--dataset", str(data_dir)]
+        assert main(argv + ["--out", str(out_dir)]) == 0, capsys.readouterr().err
+        assert MeasurementData.load_csv(data_dir / "instances/r01_i000/noisy.csv").shape == (3, 1)
+        assert (out_dir / "records.csv").exists()
 
 
 def _write_data_csv(path, value):

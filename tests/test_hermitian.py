@@ -17,6 +17,8 @@ from tomokit.hermitian import (
 )
 
 RHO_FIX = np.array([[1.0, 1.0 - 1.0j], [1.0 + 1.0j, 2.0]]) / 3.0
+# The two ways to build a density; both run the same checks.
+DENSITY_BUILDERS = [DensityLike.from_array, lambda entries: DensityLike(HermitianMatrix(entries))]
 
 
 def closed_form_preimage(t: float) -> np.ndarray:
@@ -35,24 +37,30 @@ class TestHermitianMatrix:
             HermitianMatrix(np.array([[1.0, 1e-6], [0.0, 1.0]]))
 
     def test_entries_read_only(self):
-        H = HermitianMatrix(np.eye(2))
-        with pytest.raises(ValueError):
-            H.entries[0, 0] = 2.0
+        half = np.eye(2) / 2
+        for H in (HermitianMatrix(half), *(build(half) for build in DENSITY_BUILDERS)):
+            with pytest.raises(ValueError):
+                H.entries[0, 0] = 2.0
 
     def test_dim_and_trace(self):
-        H = HermitianMatrix(RHO_FIX)
-        assert H.dim == 2
-        assert H.trace() == pytest.approx(1.0, abs=1e-15)
+        # A DensityLike is a HermitianMatrix, built from an array or from a HermitianMatrix.
+        for H in (HermitianMatrix(RHO_FIX), *(build(RHO_FIX) for build in DENSITY_BUILDERS)):
+            assert isinstance(H, HermitianMatrix)
+            assert np.array_equal(H.entries, RHO_FIX)
+            assert H.dim == 2
+            assert H.trace() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestDensityLike:
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="not PSD"):
-            DensityLike.from_array(np.diag([1.5, -0.5]))
+        for build in DENSITY_BUILDERS:
+            with pytest.raises(ValueError, match="^matrix is not PSD: min eigenvalue -5.000e-01$"):
+                build(np.diag([1.5, -0.5]))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityLike.from_array(np.diag([0.7, 0.7]))
+        for build in DENSITY_BUILDERS:
+            with pytest.raises(ValueError, match="^trace 1.4 deviates from 1$"):
+                build(np.diag([0.7, 0.7]))
 
 
 class TestTraceNorm:
@@ -91,7 +99,7 @@ class TestClosedFormPreimage:
 class TestProjectToDensity:
     def test_fixes_members(self):
         rho = random_density(5, 3, 3)
-        proj = project_to_density(rho.matrix)
+        proj = project_to_density(rho)
         assert np.linalg.norm(proj.entries - rho.entries) < 1e-12
 
     def test_single_active_constraint(self):
@@ -109,7 +117,7 @@ class TestProjectToDensity:
             B = random_hermitian(4, int(rng.integers(1 << 31)))
             pa = project_to_density(A)
             pb = project_to_density(B)
-            again = project_to_density(pa.matrix)
+            again = project_to_density(pa)
             assert np.linalg.norm(again.entries - pa.entries) < 1e-12
             assert (
                 np.linalg.norm(pa.entries - pb.entries)

@@ -307,12 +307,14 @@ class TestMeasurementData:
         assert data.values.min() >= 0.0
 
     def test_csv_round_trip(self, tmp_path):
-        values = np.abs(np.random.default_rng(0).standard_normal((3, 2)))
-        data = MeasurementData(values)
-        path = tmp_path / "d.csv"
-        data.save_csv(path)
-        back = MeasurementData.load_csv(path)
-        assert np.array_equal(back.values, data.values)
+        # One outcome per setting, or one setting, used to read back transposed.
+        for shape in [(3, 2), (3, 1), (1, 3), (1, 1)]:
+            values = np.abs(np.random.default_rng(0).standard_normal(shape))
+            data = MeasurementData(values)
+            path = tmp_path / "d.csv"
+            data.save_csv(path)
+            back = MeasurementData.load_csv(path)
+            assert np.array_equal(back.values, data.values)
 
     def test_csv_single_row(self, tmp_path):
         data = MeasurementData(np.array([[0.25, 0.75]]))
