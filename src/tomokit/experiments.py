@@ -23,7 +23,7 @@ from .diagnostics import (
     validity_certificate,
 )
 from .hermitian import DensityLike, load_matrix, random_density, save_matrix, trace_norm
-from .objectives import Objective
+from .objectives import NEG_LOG_LIKELIHOOD, OBJECTIVE_KINDS, Objective
 from .operators import (
     MeasurementData,
     MeasurementOperator,
@@ -33,6 +33,7 @@ from .operators import (
 from .solvers import (
     FactorState,
     SolverTrace,
+    _check_stop_rule,
     fgd_solve,
     gm_solve,
     mle_solve,
@@ -113,10 +114,9 @@ def standard_homodyne_descriptor(
     n_angles: int = 15,
     n_bins: int = 50,
     half_width: float = 7.0,
-    quad_order: int = 20,
 ) -> dict:
     """Descriptor for the reference quadrature setup: equispaced angles on
-    [0, pi), equal bins on [-half_width, half_width]."""
+    [0, pi), equal bins on [-half_width, half_width], 20 quadrature nodes per bin."""
     angles = [j * math.pi / n_angles for j in range(n_angles)]
     edges = np.linspace(-half_width, half_width, n_bins + 1).tolist()
     return {
@@ -124,7 +124,7 @@ def standard_homodyne_descriptor(
         "dim": dim,
         "angles": angles,
         "bin_edges": edges,
-        "quad_order": quad_order,
+        "quad_order": 20,
     }
 
 
@@ -169,10 +169,14 @@ class ExperimentSpec:
         }
 
 
-def _json_object(value, name: str) -> dict:
-    """A nested config block, which must be a JSON object."""
+def _json_object(value, name: str, known: tuple) -> dict:
+    """A nested config block, which must be a JSON object whose keys are all in `known`,
+    so that a mistyped key fails instead of leaving its setting at the default."""
     if not isinstance(value, dict):
         raise ValueError(f"config field {name} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in known:
+            raise ValueError(f"config field {name}.{key} is unknown; {name} takes {known}")
     return value
 
 
@@ -198,8 +202,9 @@ def _json_str(value, name: str) -> str:
 
 
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
-    ensemble = _json_object(config.get("ensemble", {}), "ensemble")
-    noise = _json_object(config.get("noise", {}), "noise")
+    ensemble = config.get("ensemble", {})
+    ensemble = _json_object(ensemble, "ensemble", ("dim", "ranks", "count_per_rank"))
+    noise = _json_object(config.get("noise", {}), "noise", ("scale", "enabled"))
     ranks = _json_list(ensemble["ranks"], "ensemble.ranks")
     count = ensemble.get("count_per_rank", 1)
     if output_dir is None:
@@ -236,6 +241,8 @@ def generate_dataset(spec: ExperimentSpec) -> dict:
     """
     out = Path(spec.output_dir)
     operator = operator_from_descriptor(spec.operator)
+    if operator.dim != spec.dim:
+        raise ValueError(f"ensemble.dim {spec.dim} does not match operator dim {operator.dim}")
 
     instances = []
     for rank in spec.ranks:
@@ -318,11 +325,8 @@ def records_to_csv(records: list[RunRecord], path) -> None:
     _write_csv(path, RECORD_CSV_COLUMNS, (rec.csv_row() for rec in records))
 
 
-def records_to_json(records: list[RunRecord], path, config: dict | None = None) -> None:
-    payload = {"records": [rec.to_json_dict() for rec in records]}
-    if config is not None:
-        payload["config"] = config
-    _write_json(Path(path), payload)
+def records_to_json(records: list[RunRecord], path, config: dict) -> None:
+    _write_json(Path(path), {"records": [rec.to_json_dict() for rec in records], "config": config})
 
 
 def _write_records(out_dir, records: list[RunRecord], config: dict, summary=None) -> None:
@@ -337,51 +341,55 @@ def _write_records(out_dir, records: list[RunRecord], config: dict, summary=None
         _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS, rows)
 
 
-def solver_id_of(cfg: dict) -> str:
+def _solver_entry(cfg, name: str, dim: int) -> dict:
+    """A `solvers` entry, checked in full, with its defaults filled in and with `id`, the
+    label of its records: `solver` gm, fgd or mle (gm), `fit` nll or l2 (nll; mle takes
+    nll only), `tol` (1e-10), `max_iter` (20000), `rank` in [1, dim] (absent or null:
+    full), `seed` (0) and `data` (absent: noisy if the instance has noisy data, else
+    exact). Any other key is a ValueError."""
+    cfg = _json_object(cfg, name, ("solver", "fit", "tol", "max_iter", "rank", "seed", "data"))
+    solver, fit = cfg.get("solver", "gm"), cfg.get("fit", NEG_LOG_LIKELIHOOD)
+    if solver not in ("gm", "fgd", "mle"):
+        raise ValueError(f"config field {name}.solver must be gm, fgd or mle, got {solver!r}")
+    if fit not in OBJECTIVE_KINDS or (solver == "mle" and fit != NEG_LOG_LIKELIHOOD):
+        raise ValueError(f"config field {name}.fit must be nll or l2 (mle: nll), got {fit!r}")
+    tol = _config_number(cfg.get("tol", 1e-10), f"{name}.tol")
+    max_iter = _config_number(cfg.get("max_iter", 20000), f"{name}.max_iter", int)
+    _check_stop_rule(tol, max_iter)
     rank = cfg.get("rank")
-    rank_tag = "full" if rank is None else f"r{_config_number(rank, 'rank', int)}"
-    return f"{cfg.get('solver', 'gm')}-{cfg.get('fit', 'nll')}-{rank_tag}"
+    if rank is not None:
+        rank = _config_number(rank, f"{name}.rank", int)
+        if not 1 <= rank <= dim:
+            raise ValueError(f"config field {name}.rank must be in [1, {dim}], got {rank}")
+    label = f"{solver}-{fit}-{'full' if rank is None else f'r{rank}'}"
+    return dict(id=label, solver=solver, fit=fit, tol=tol, max_iter=max_iter, rank=rank,
+                seed=_config_number(cfg.get("seed", 0), f"{name}.seed", int),
+                data=_json_str(cfg["data"], f"{name}.data") if "data" in cfg else None)
 
 
 def run_solver_config(
-    cfg: dict,
+    entry: dict,
     operator: MeasurementOperator,
     data: MeasurementData,
-    instance_seed: int = 0,
-) -> tuple[DensityLike, SolverTrace | None, Objective]:
-    """Dispatch one solver configuration against one data array.
-
-    Reads the keys `solver` (gm, fgd, mle or pgd; default gm), `fit` (default
-    nll), `tol` (default 1e-10), `max_iter` (default 20000), `rank` (absent:
-    full rank) and `seed` (default 0). Full-rank iterations start from the
-    maximally mixed state; rank-limited ones start from a random state of that
-    rank, seeded by (seed, instance_seed).
-    """
-    kind = cfg.get("solver", "gm")
-    obj = Objective(operator, data, kind=cfg.get("fit", "nll"))
-    tol = _config_number(cfg.get("tol", 1e-10), "tol")
-    max_iter = _config_number(cfg.get("max_iter", 20000), "max_iter", int)
-    rank = cfg.get("rank")
-    N = operator.dim
-
+    instance_seed: int,
+) -> tuple[DensityLike, SolverTrace, Objective]:
+    """Run one solver entry, as checked by _solver_entry, against one data array.
+    Full-rank iterations start from the maximally mixed state; rank-limited ones
+    from a random state of that rank, seeded by (seed, instance_seed)."""
+    obj = Objective(operator, data, kind=entry["fit"])
+    tol, max_iter, rank, N = entry["tol"], entry["max_iter"], entry["rank"], operator.dim
     if rank is None:
         rho0 = DensityLike.from_array(np.eye(N, dtype=complex) / N)
     else:
-        rank = _config_number(rank, "rank", int)
-        seed = _config_number(cfg.get("seed", 0), "seed", int)
-        rho0 = random_density(N, rank, derive_seed(seed, instance_seed))
+        rho0 = random_density(N, rank, derive_seed(entry["seed"], instance_seed))
 
-    if kind == "pgd":
-        return pgd_solve(rho0, obj, max_iter=max_iter, tol=tol), None, obj
-    if kind in ("gm", "mle"):
-        solve = gm_solve if kind == "gm" else mle_solve
-        final, trace = solve(rho0, obj, max_iter=max_iter, tol=tol)
-        return final, trace, obj
-    if kind == "fgd":
+    if entry["solver"] == "fgd":
         state0 = FactorState.from_density(rho0, rank if rank is not None else N)
         state, trace = fgd_solve(state0, obj, max_iter=max_iter, tol=tol)
         return state.density(), trace, obj
-    raise ValueError(f"unknown solver kind {kind!r}")
+    solve = gm_solve if entry["solver"] == "gm" else mle_solve
+    final, trace = solve(rho0, obj, max_iter=max_iter, tol=tol)
+    return final, trace, obj
 
 
 def _run_record(
@@ -391,12 +399,12 @@ def _run_record(
     solver_id: str,
     variant: str,
     final: DensityLike,
-    trace: SolverTrace | None,
+    trace: SolverTrace,
     obj: Objective,
     wall: float,
     oracle_distance: float = math.nan,
 ) -> RunRecord:
-    """Record of one solve, certified at its final state; no trace means the oracle."""
+    """Record of one solve, certified at its final state."""
     return RunRecord(
         instance_id=instance_id,
         truth=truth_desc,
@@ -406,8 +414,8 @@ def _run_record(
         trace_distance_to_oracle=oracle_distance,
         final_objective=obj.value(final),
         certificate=validity_certificate(final, obj),
-        iterations=trace.iterations if trace is not None else -1,
-        stop_reason=trace.stop_reason if trace is not None else "oracle",
+        iterations=trace.iterations,
+        stop_reason=trace.stop_reason,
         floor_triggered=obj.floor_active(final),
         wall_time=wall,
     )
@@ -421,6 +429,8 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     computed on the same data and fit. That oracle stops once the trace norm
     of its step falls below `tol` (default 1e-10), so `trace_distance_to_oracle`
     values near 1e-9 lie within its stop tolerance, not solver disagreement.
+    The solver entries, their data variants and the `oracle` block are checked
+    before any solve.
     """
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
@@ -428,11 +438,18 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     solver_cfgs = run_config.get("solvers") or manifest["config"].get("solvers") or []
     if not solver_cfgs:
         raise ValueError("no solver configurations given")
-    solver_cfgs = _json_list(solver_cfgs, "solvers")
-    solver_cfgs = [_json_object(cfg, f"solvers[{i}]") for i, cfg in enumerate(solver_cfgs)]
-    oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle")
+    solver_cfgs = [
+        _solver_entry(cfg, f"solvers[{i}]", operator.dim)
+        for i, cfg in enumerate(_json_list(solver_cfgs, "solvers"))
+    ]
+    oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle", ("tol", "max_iter"))
     oracle_max_iter = _config_number(oracle_cfg.get("max_iter", 20000), "oracle.max_iter", int)
     oracle_tol = _config_number(oracle_cfg.get("tol", 1e-10), "oracle.tol")
+    _check_stop_rule(oracle_tol, oracle_max_iter)
+    for inst in manifest["instances"]:
+        for cfg in solver_cfgs:
+            if cfg["data"] not in (None, *inst["files"]):
+                raise ValueError(f"instance {inst['id']} has no {cfg['data']!r} data")
 
     records = []
     for index, entry in enumerate(manifest["instances"]):
@@ -441,10 +458,8 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
         data_cache: dict[str, MeasurementData] = {}
         oracle_cache: dict[tuple[str, str], DensityLike] = {}
         default = "noisy" if "noisy" in entry["files"] else "exact"
-        for i, cfg in enumerate(solver_cfgs):
-            variant = _json_str(cfg.get("data", default), f"solvers[{i}].data")
-            if variant not in entry["files"]:
-                raise ValueError(f"instance {entry['id']} has no {variant!r} data")
+        for cfg in solver_cfgs:
+            variant = default if cfg["data"] is None else cfg["data"]
             if variant not in data_cache:
                 data_cache[variant] = MeasurementData.load_csv(
                     dataset / entry["files"][variant]["path"]
@@ -467,7 +482,7 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
 
             records.append(
                 _run_record(
-                    entry["id"], truth, truth_desc, solver_id_of(cfg), variant,
+                    entry["id"], truth, truth_desc, cfg["id"], variant,
                     final, trace, obj, wall, oracle_distance,
                 )
             )
@@ -507,7 +522,7 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
         if not 1 <= r <= N:
             raise ValueError(f"start rank {r} outside [1, {N}]")
     fit = config.get("fit", "nll")
-    solver_cfg = _json_object(config.get("solver", {}), "solver")
+    solver_cfg = _json_object(config.get("solver", {}), "solver", ("tol", "max_iter"))
     tol = _config_number(solver_cfg.get("tol", 1e-12), "solver.tol")
     max_iter = _config_number(solver_cfg.get("max_iter", 20000), "solver.max_iter", int)
     seed = _config_number(config.get("seed", 0), "seed", int)

@@ -121,11 +121,11 @@ def random_density(N: int, r: int, seed: int) -> DensityLike:
     return DensityLike.from_array(rho)
 
 
-def random_hermitian(N: int, seed: int, scale: float = 1.0) -> HermitianMatrix:
+def random_hermitian(N: int, seed: int) -> HermitianMatrix:
     """Random Hermitian matrix with i.i.d. Gaussian entries (test fodder)."""
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return HermitianMatrix(scale * 0.5 * (G + G.conj().T))
+    return HermitianMatrix(0.5 * (G + G.conj().T))
 
 
 # --- serialization -----------------------------------------------------------

@@ -15,21 +15,16 @@ from .operators import MeasurementData, MeasurementOperator
 
 NEG_LOG_LIKELIHOOD = "nll"
 LEAST_SQUARES = "l2"
+OBJECTIVE_KINDS = (NEG_LOG_LIKELIHOOD, LEAST_SQUARES)
 
 # Forward values below this guard the nll log and division near the PSD boundary.
 FLOOR = 1e-12
 
-_KIND_ALIASES = {
-    "nll": NEG_LOG_LIKELIHOOD,
-    "neg_log_likelihood": NEG_LOG_LIKELIHOOD,
-    "l2": LEAST_SQUARES,
-    "least_squares": LEAST_SQUARES,
-}
-
 
 @dataclass(frozen=True)
 class Objective:
-    """Data-fit functional F(rho), either -sum y*log(T rho) or 0.5*||y - T rho||^2."""
+    """Data-fit functional F(rho): kind "nll" is -sum y*log(T rho) and kind "l2" is
+    0.5*||y - T rho||^2; any other kind, another spelling included, is a ValueError."""
 
     operator: MeasurementOperator
     data: MeasurementData
@@ -42,10 +37,8 @@ class Objective:
             raise ValueError(
                 f"data shape {self.data.shape} does not match operator {self.operator.shape}"
             )
-        kind = _KIND_ALIASES.get(str(self.kind).lower())
-        if kind is None:
+        if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
 
     # Forward values are shared between value and gradient in solver loops.
     def _value_from(self, p: np.ndarray) -> float:

@@ -48,26 +48,18 @@ class DegenerateStateError(RuntimeError):
 class StepPolicy:
     """Backtracking control of the line-searched iterations: eps only shrinks within a step.
 
-    Each rejected trial halves eps; a step fails once eps falls below min_eps.
-    initial_eps of None resolves to 1 / (||grad F(rho0)||_F + 1) at solve time.
+    A solve's first eps is 1 / (||grad F(rho0)||_F + 1); each rejected trial
+    halves eps, and a step fails once eps falls below min_eps.
     """
 
-    initial_eps: float | None = None
     min_eps: float = 1e-14
     shrink: ClassVar[float] = 0.5
 
     def __post_init__(self):
         if not self.min_eps > 0:
             raise ValueError(f"min_eps must be positive, got {self.min_eps}")
-        # A finite initial_eps keeps the backtracking finite: halving inf never reaches min_eps.
-        if self.initial_eps is not None and not self.min_eps < self.initial_eps < math.inf:
-            raise ValueError(
-                f"initial_eps {self.initial_eps} must be finite and above min_eps {self.min_eps}"
-            )
 
     def resolve_initial(self, gradient_norm: float) -> float:
-        if self.initial_eps is not None:
-            return self.initial_eps
         return 1.0 / (gradient_norm + 1.0)
 
 
@@ -267,7 +259,6 @@ def _line_searched_solve(
     prepare,
     next_eps=None,
     certify=None,
-    keep_trace: bool = False,
 ):
     """Shared backtracking descent loop for every line-searched iteration.
 
@@ -283,7 +274,7 @@ def _line_searched_solve(
     counts as a failed trial.
     `next_eps(eps, d_rho, d_g)`, when given, sets the first trial eps of the
     next step from the accepted eps and the last density and gradient changes;
-    without it eps carries over. keep_trace keeps the raw states.
+    without it eps carries over.
     The solve stops `converged` at the first accepted step d_rho with
     trace_norm(d_rho) < tol (see _record_step). `certify(rho, g)`, when given,
     is asked every CERTIFY_EVERY accepted steps whether the density array rho
@@ -298,9 +289,6 @@ def _line_searched_solve(
     eps = policy.resolve_initial(float(np.linalg.norm(g)))
 
     trace = SolverTrace(objective_values=[f])
-    if keep_trace:
-        trace.iterates_kept = [state]
-
     _, step = prepare(state, state, g)
     prev, k = state, 0
     for _ in range(max_iter):
@@ -339,8 +327,6 @@ def _line_searched_solve(
             trace.restarts += 1
         elif restart is not None:
             k += 1
-        if keep_trace:
-            trace.iterates_kept.append(state)
         if _record_step(trace, f, eps, d_rho, tol) or (
             certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho, g_new)
         ):
@@ -373,6 +359,12 @@ def gm_solve(
     tol must be finite and >= 0 and max_iter >= 0, else ValueError.
     """
     policy = policy or StepPolicy()
+    kept = []
+
+    def keeping_prepare(X, X_prev, g):
+        kept.append(X)  # called for the start and once per accepted state
+        return _fgd_prepare(X, X_prev, g)
+
     final, trace = _line_searched_solve(
         FactorState.from_density(rho0, rho0.dim).X,
         obj,
@@ -380,11 +372,10 @@ def gm_solve(
         max_iter,
         tol,
         density_of=_outer,
-        prepare=_fgd_prepare,
-        keep_trace=keep_trace,
+        prepare=keeping_prepare if keep_trace else _fgd_prepare,
     )
     if keep_trace:
-        trace.iterates_kept = [DensityLike.from_array(_outer(X)) for X in trace.iterates_kept]
+        trace.iterates_kept = [DensityLike.from_array(_outer(X)) for X in kept]
     return DensityLike.from_array(_outer(final)), trace
 
 

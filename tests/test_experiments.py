@@ -625,6 +625,84 @@ class TestCli:
         if has_output_dir:  # --out takes precedence over the config field
             assert self.run_with_config(command, config, tmp_path) == 0
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"max_iter": -5}, "max_iter must be >= 0"),
+            ({"solver": "gmm"}, "solvers[1].solver must be gm, fgd or mle, got 'gmm'"),
+            ({"solver": "pgd"}, "solvers[1].solver must be gm, fgd or mle, got 'pgd'"),
+            ({"fit": "l3"}, "solvers[1].fit must be nll or l2"),
+            ({"fit": "NLL"}, "solvers[1].fit must be nll or l2"),
+            ({"solver": "mle", "fit": "l2"}, "solvers[1].fit must be nll or l2 (mle: nll)"),
+            ({"solver": "fgd", "rank": 3}, "solvers[1].rank must be in [1, 2], got 3"),
+            ({"seed": "1"}, "solvers[1].seed must be a number"),
+            ({"data": "clean"}, "instance r01_i000 has no 'clean' data"),
+        ],
+        ids=["max-iter", "solver", "pgd", "fit", "fit-case", "mle-l2", "rank", "seed", "data"],
+    )
+    def test_rejects_bad_solver_entries_before_any_solve(
+        self, entry, message, tmp_path, capsys, monkeypatch
+    ):
+        # these used to fail only after solvers[0] and its oracle had run; a pgd
+        # entry was recorded as the oracle and "NLL" was labelled gm-NLL-full
+        solves = []
+
+        def counted(solve):
+            return lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs)
+
+        for name in ("gm_solve", "fgd_solve", "mle_solve", "pgd_solve"):
+            monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+        config = {"solvers": [{"solver": "gm"}, entry]}
+        assert self.run_with_config("reconstruct", config, tmp_path) == 1
+        assert message in capsys.readouterr().err
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (
+                "reconstruct",
+                {"solvers": [{"solver": "gm", "max_iters": 5}]},
+                "config field solvers[0].max_iters is unknown",
+            ),
+            (
+                "reconstruct",
+                {"solvers": [{}], "oracle": {"max_iters": 5}},
+                "config field oracle.max_iters is unknown",
+            ),
+            (
+                "rank-trap",
+                {"true_rank": 1, "count": 1, "start_ranks": [1], "solver": {"tols": 1e-3}},
+                "config field solver.tols is unknown",
+            ),
+            (
+                "generate",
+                {"ensemble": {"dim": 2, "ranks": [1], "count": 2}},
+                "config field ensemble.count is unknown",
+            ),
+            ("generate", {"noise": {"scael": 10.0}}, "config field noise.scael is unknown"),
+        ],
+        ids=[
+            "reconstruct-solver", "reconstruct-oracle", "rank-trap-solver", "generate-ensemble",
+            "generate-noise",
+        ],
+    )
+    def test_rejects_unknown_block_keys(self, command, config, message, tmp_path, capsys):
+        # a mistyped key used to be ignored: max_iters ran under the default max_iter
+        assert self.run_with_config(command, config, tmp_path) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_generate_checks_dim_before_writing(self, tmp_path, capsys):
+        # a dim that the operator does not have used to leave a truth.json behind
+        cfg, out = tmp_path / "gen.json", tmp_path / "out"
+        spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 3, "ranks": [1]}}
+        cfg.write_text(json.dumps(spec))
+        out.mkdir()
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "ensemble.dim 3 does not match operator dim 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @staticmethod
     def run_with_config(command, config, tmp_path, out=True) -> int:
         cfg = tmp_path / "cfg.json"
