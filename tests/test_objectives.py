@@ -15,11 +15,15 @@ def spurious_data(t: float) -> MeasurementData:
 
 
 class TestConstruction:
-    def test_unknown_kind(self, t2):
-        # each fit has one spelling; the aliases and other cases used to be accepted
-        for kind in ("huber", "NLL", "least_squares", "neg_log_likelihood"):
+    def test_kind_aliases(self, t2):
+        # each fit has one spelling; the aliases and other letter cases used to be accepted
+        for kind in ("NLL", "L2", "least_squares", "neg_log_likelihood"):
             with pytest.raises(ValueError, match="unknown objective kind"):
                 Objective(t2, MeasurementData(np.full((3, 2), 0.5)), kind=kind)
+
+    def test_unknown_kind(self, t2):
+        with pytest.raises(ValueError, match="unknown objective kind"):
+            Objective(t2, MeasurementData(np.full((3, 2), 0.5)), kind="huber")
 
     def test_shape_mismatch(self, t2):
         with pytest.raises(ValueError, match="does not match"):
