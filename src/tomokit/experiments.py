@@ -341,6 +341,15 @@ def _write_records(out_dir, records: list[RunRecord], config: dict, summary=None
         _write_csv(out / "summary.csv", SUMMARY_CSV_COLUMNS, rows)
 
 
+def _stop_rule(block: dict, name: str, tol: float) -> tuple[float, int]:
+    """The `tol` (default: the argument) and `max_iter` (20000) of the config block
+    `name`, checked before any solve, with errors that name the field."""
+    tol = _config_number(block.get("tol", tol), f"{name}.tol")
+    max_iter = _config_number(block.get("max_iter", 20000), f"{name}.max_iter", int)
+    _check_stop_rule(tol, max_iter, f"config field {name}.")
+    return tol, max_iter
+
+
 def _solver_entry(cfg, name: str, dim: int) -> dict:
     """A `solvers` entry, checked in full, with its defaults filled in and with `id`, the
     label of its records: `solver` gm, fgd or mle (gm), `fit` nll or l2 (nll; mle takes
@@ -353,9 +362,7 @@ def _solver_entry(cfg, name: str, dim: int) -> dict:
         raise ValueError(f"config field {name}.solver must be gm, fgd or mle, got {solver!r}")
     if fit not in OBJECTIVE_KINDS or (solver == "mle" and fit != NEG_LOG_LIKELIHOOD):
         raise ValueError(f"config field {name}.fit must be nll or l2 (mle: nll), got {fit!r}")
-    tol = _config_number(cfg.get("tol", 1e-10), f"{name}.tol")
-    max_iter = _config_number(cfg.get("max_iter", 20000), f"{name}.max_iter", int)
-    _check_stop_rule(tol, max_iter)
+    tol, max_iter = _stop_rule(cfg, name, 1e-10)
     rank = cfg.get("rank")
     if rank is not None:
         rank = _config_number(rank, f"{name}.rank", int)
@@ -443,9 +450,7 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
         for i, cfg in enumerate(_json_list(solver_cfgs, "solvers"))
     ]
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle", ("tol", "max_iter"))
-    oracle_max_iter = _config_number(oracle_cfg.get("max_iter", 20000), "oracle.max_iter", int)
-    oracle_tol = _config_number(oracle_cfg.get("tol", 1e-10), "oracle.tol")
-    _check_stop_rule(oracle_tol, oracle_max_iter)
+    oracle_tol, oracle_max_iter = _stop_rule(oracle_cfg, "oracle", 1e-10)
     for inst in manifest["instances"]:
         for cfg in solver_cfgs:
             if cfg["data"] not in (None, *inst["files"]):
@@ -500,12 +505,21 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     Exact data from `count` truths of rank `true_rank` under the required
     `operator` descriptor; reconstruction with the factorized solve started
     at every rank in `start_ranks`. The solve takes the preconditioned step
-    with momentum and its certificate stop (see fgd_solve), so `tol` in the
-    `solver` block does not set the accuracy of a start at or above the true
-    rank: it stops once validity_certificate passes (m_residual <= 1e-8). At
-    the criterion-09 config a start takes a median of 100-125 iterations at
-    r >= 5 and 184-396 below, and r >= 5 ends within 2e-8 trace distance of
-    the truth, 4.5e-10 in the median (plain FGD at tol 1e-12: about 6e-10).
+    with momentum and its certificate stop (see fgd_solve): it stops
+    `converged` at the first accepted step whose certificate is decisive, so
+    at a tight `tol` in the `solver` block, such as the default, the
+    certificate and not `tol` ends each start and sets its accuracy. A start
+    at or above the true rank stops once it reads valid (m_residual <= 1e-8);
+    a start below it stops, with the verdict spurious in its record, once it
+    reads spurious with a kernel-restricted eigenvalue below -PSD_TOL. At
+    the criterion-09 config a start takes a median of 334 / 231.5 / 166 /
+    135.5 iterations at r = 1-4 and 99.5-108 at r >= 5, and r >= 5 ends
+    within 3e-8 trace distance of the truth, 1.4e-8 in the median: the
+    certificate's own tolerance (plain FGD at tol 1e-12: about 6e-10).
+    The config fields are checked before any truth is drawn: `fit` nll or l2
+    (nll), `true_rank` in [1, N] (5), `count` >= 1 (10), a nonempty
+    `start_ranks` in [1, N] (1..N) and the `solver` block's `tol` (1e-12) and
+    `max_iter` (20000).
     Returns the run records plus a per-start-rank summary with median trace
     distance, median kernel-restricted minimum eigenvalue, spurious fraction
     and median iteration count.
@@ -518,14 +532,19 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     start_ranks = [_config_number(r, "start_ranks", int) for r in start_ranks]
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if not start_ranks:
+        raise ValueError("config field start_ranks must be nonempty")
     for r in start_ranks:
         if not 1 <= r <= N:
             raise ValueError(f"start rank {r} outside [1, {N}]")
-    fit = config.get("fit", "nll")
     solver_cfg = _json_object(config.get("solver", {}), "solver", ("tol", "max_iter"))
-    tol = _config_number(solver_cfg.get("tol", 1e-12), "solver.tol")
-    max_iter = _config_number(solver_cfg.get("max_iter", 20000), "solver.max_iter", int)
+    tol, max_iter = _stop_rule(solver_cfg, "solver", 1e-12)
     seed = _config_number(config.get("seed", 0), "seed", int)
+    fit = config.get("fit", NEG_LOG_LIKELIHOOD)
+    if fit not in OBJECTIVE_KINDS:
+        raise ValueError(f"config field fit must be nll or l2, got {fit!r}")
+    if not 1 <= true_rank <= N:
+        raise ValueError(f"config field true_rank must be in [1, {N}], got {true_rank}")
 
     records = []
     by_start_rank: dict[int, list[RunRecord]] = {r: [] for r in start_ranks}

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .diagnostics import FIX_TOL, VALID, _certificate, m_set_residual
+from .diagnostics import FIX_TOL, PSD_TOL, SPURIOUS, VALID, _certificate
 from .hermitian import DensityLike, _project_density_arr, entries_of, trace_norm
 from .objectives import NEG_LOG_LIKELIHOOD, Objective
 
@@ -29,9 +29,6 @@ EPS_EXHAUSTED = "eps_exhausted"
 DESCENT_SLACK = 1e-12
 
 _TRACE_FLOOR = 1e-300
-
-# Accepted steps between two certificate checks of a certified solve.
-CERTIFY_EVERY = 25
 
 # Eigenvalues of a start below this (the trace is one) form its numerical
 # kernel: FactorState.from_density gives them exactly zero columns, and every
@@ -174,9 +171,10 @@ def _renormalized(half: np.ndarray) -> np.ndarray:
 
 
 def _fgd_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
-    """The plain factorized step eps -> normalize(X - eps * g X), without momentum."""
+    """The plain factorized step eps -> normalize(X - eps * g X), without momentum or
+    certificate stop."""
     gX = g @ X
-    return None, lambda eps: _renormalized(X - eps * gX)
+    return None, lambda eps: _renormalized(X - eps * gX), None
 
 
 def _mle_apply_arr(X: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -185,8 +183,9 @@ def _mle_apply_arr(X: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _scaled_fgd_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
-    """The preconditioned step eps -> normalize(X - eps * G X (X* X + lam I)^-1) and the
-    gradient restart test Re <G X, X - X_prev> > 0, from one Lagrangian-shifted gradient
+    """The preconditioned step eps -> normalize(X - eps * G X (X* X + lam I)^-1), the
+    gradient restart test Re <G X, X - X_prev> > 0 and the fixed-point defect
+    m_set_residual(X X*, -g)[1], from one Lagrangian-shifted gradient
     G X = g X - tr(X* g X) X with lam = ||G X||_F. The eps-free direction is solved
     once, so a halved trial costs no solve."""
     GX = g @ X
@@ -195,12 +194,15 @@ def _scaled_fgd_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
     lam = _norm(GX)
     if lam == 0.0:
         # No descent direction; X* X alone is singular for a factor with a zero column.
-        return restart, lambda eps: _renormalized(X)
+        return restart, lambda eps: _renormalized(X), 0.0
     P = X.conj().T @ X
+    # The defect rho (-g) - tr(-g rho) rho of rho = X X* is -X (G X)*, and
+    # ||X X*||_F = ||X* X||_F: an N x N product and two norms, no eigensolve.
+    m_residual = _norm(X @ GX.conj().T) / _norm(P)
     P.flat[:: P.shape[0] + 1] += lam
     # G X P^-1 = (P^-T (G X)^T)^T, one solve for all rows.
     direction = np.linalg.solve(P.T, GX.T).T
-    return restart, lambda eps: _renormalized(X - eps * direction)
+    return restart, lambda eps: _renormalized(X - eps * direction), m_residual
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -231,11 +233,13 @@ def _barzilai_borwein(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
     return eps * 2.0
 
 
-def _check_stop_rule(tol: float, max_iter: int) -> None:
+def _check_stop_rule(tol: float, max_iter: int, where: str = "") -> None:
+    """ValueError unless tol is finite and >= 0 and max_iter >= 0; `where` prefixes
+    the field names in the message."""
     if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        raise ValueError(f"{where}tol must be finite and >= 0, got {tol!r}")
     if not max_iter >= 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+        raise ValueError(f"{where}max_iter must be >= 0, got {max_iter!r}")
 
 
 def _record_step(trace: SolverTrace, f: float, eps: float, d_rho, tol: float) -> bool:
@@ -249,6 +253,16 @@ def _record_step(trace: SolverTrace, f: float, eps: float, d_rho, tol: float) ->
     return residual < tol and trace_norm(d_rho) < tol
 
 
+def _decisive(rho: np.ndarray, g: np.ndarray) -> bool:
+    """Whether the certificate of the density array rho, with gradient g, reads valid,
+    or spurious with a kernel-restricted eigenvalue below -PSD_TOL. A spurious reading
+    within that margin can still turn valid as the iterate settles."""
+    cert = _certificate(rho, g)
+    if cert.verdict == SPURIOUS:
+        return cert.min_eig_Q_restricted < -PSD_TOL
+    return cert.verdict == VALID
+
+
 def _line_searched_solve(
     state: np.ndarray,
     obj: Objective,
@@ -258,16 +272,17 @@ def _line_searched_solve(
     density_of,
     prepare,
     next_eps=None,
-    certify=None,
 ):
     """Shared backtracking descent loop for every line-searched iteration.
 
     `density_of` maps the raw state to its density array. `prepare(state, prev,
     g)` is called once for the start (with prev = state) and once per accepted
-    state, with the gradient g there; it returns (restart, step), where
-    `step(eps)` gives the plain trial state at eps and `restart` is None for a
-    solve without momentum, else whether the momentum restarts (k = 0) at this
-    state. With momentum, the first trial after k accepted steps since the last
+    state, with the gradient g there; it returns (restart, step, m_residual),
+    where `step(eps)` gives the plain trial state at eps, `restart` is None for
+    a solve without momentum, else whether the momentum restarts (k = 0) at
+    this state, and `m_residual` is None for a solve without the certificate
+    stop, else the state's fixed-point defect m_set_residual(rho, -g)[1].
+    With momentum, the first trial after k accepted steps since the last
     restart is normalize(step(eps) + k / (k + 3) * (state - prev)); a failed or
     degenerate momentum trial restarts and retries the plain step at the same
     eps, and only failed plain trials halve eps. A raised DegenerateStateError
@@ -276,10 +291,10 @@ def _line_searched_solve(
     next step from the accepted eps and the last density and gradient changes;
     without it eps carries over.
     The solve stops `converged` at the first accepted step d_rho with
-    trace_norm(d_rho) < tol (see _record_step). `certify(rho, g)`, when given,
-    is asked every CERTIFY_EVERY accepted steps whether the density array rho
-    with gradient g passes the validity certificate; a pass also stops the
-    solve as converged.
+    trace_norm(d_rho) < tol (see _record_step), or at the first accepted state
+    whose m_residual is at most FIX_TOL and whose full certificate is decisive:
+    valid, or spurious with a kernel-restricted eigenvalue below -PSD_TOL. So
+    the certificate's eigensolves run only at fixed points.
     """
     _check_stop_rule(tol, max_iter)
     rho = density_of(state)
@@ -289,7 +304,7 @@ def _line_searched_solve(
     eps = policy.resolve_initial(float(np.linalg.norm(g)))
 
     trace = SolverTrace(objective_values=[f])
-    _, step = prepare(state, state, g)
+    _, step, _ = prepare(state, state, g)
     prev, k = state, 0
     for _ in range(max_iter):
         plain = None
@@ -321,14 +336,14 @@ def _line_searched_solve(
         d_rho = rho_cand - rho
         prev, state, rho, f = state, candidate, rho_cand, f_cand
         g_new = obj._gradient_from(p_cand)
-        restart, step = prepare(state, prev, g_new)
+        restart, step, m_residual = prepare(state, prev, g_new)
         if restart:
             k = 0
             trace.restarts += 1
         elif restart is not None:
             k += 1
         if _record_step(trace, f, eps, d_rho, tol) or (
-            certify is not None and trace.iterations % CERTIFY_EVERY == 0 and certify(rho, g_new)
+            m_residual is not None and m_residual <= FIX_TOL and _decisive(rho, g_new)
         ):
             trace.stop_reason = CONVERGED
             break
@@ -403,10 +418,15 @@ def fgd_solve(
     hook (see _line_searched_solve) computes G X and the eps-free direction
     G X (X* X + lam I)^-1 once per accepted state, so a halved trial costs no
     solve. Its step residual can stall above a tight tol once the iterate is
-    already a minimizer, so such a solve also runs the validity certificate
-    every CERTIFY_EVERY accepted steps and stops `converged` when it reads
-    valid; a check whose m_set_residual exceeds FIX_TOL reads not_fixed_point
-    without the certificate's eigensolves.
+    already a minimizer, and a start below the rank of the minimizer settles
+    at a spurious fixed point long before its steps fall below tol. So the
+    same hook also forms the fixed-point defect m_set_residual(X X*, -grad F)
+    as ||X (G X)*||_F / ||X* X||_F from the products it already has, and every
+    accepted state where it is at most FIX_TOL runs the full certificate. The
+    solve stops `converged` at the first decisive verdict: valid, or spurious
+    with a kernel-restricted eigenvalue below -PSD_TOL. The margin keeps an
+    over-parameterized start whose kernel eigenvalue is still settling
+    (a restricted minimum near -1e-8) from stopping spurious.
     It also carries momentum with adaptive restart (O'Donoghue and Candes,
     arXiv:1204.3982): the first trial is normalize(step(X) + beta (X - X_prev))
     with beta = k / (k + 3) after k accepted steps since the last restart. Two
@@ -422,15 +442,6 @@ def fgd_solve(
     and stalls where the plain step converges.
     """
     policy = policy or StepPolicy()
-    prepare, certify = _fgd_prepare, None
-    if precondition:
-        prepare = _scaled_fgd_prepare
-
-        def certify(rho: np.ndarray, g: np.ndarray) -> bool:
-            if m_set_residual(rho, -g)[1] > FIX_TOL:
-                return False  # the certificate would read not_fixed_point
-            return _certificate(rho, g).verdict == VALID
-
     final, trace = _line_searched_solve(
         np.array(state0.X),
         obj,
@@ -438,8 +449,7 @@ def fgd_solve(
         max_iter,
         tol,
         density_of=_outer,
-        prepare=prepare,
-        certify=certify,
+        prepare=_scaled_fgd_prepare if precondition else _fgd_prepare,
     )
     return FactorState(final), trace
 
@@ -497,7 +507,7 @@ def pgd_solve(
         max_iter,
         tol,
         density_of=lambda arr: arr,
-        prepare=lambda arr, _prev, g: (None, lambda s: _project_density_arr(arr - s * g)),
+        prepare=lambda arr, _prev, g: (None, lambda s: _project_density_arr(arr - s * g), None),
         next_eps=_barzilai_borwein,
     )
     return DensityLike.from_array(final)

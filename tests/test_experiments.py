@@ -346,6 +346,54 @@ class TestRankTrap:
         with pytest.raises(ValueError, match="start rank"):
             rank_trap({"operator": small_descriptor, "start_ranks": [0], "count": 1})
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"fit": "l3"}, "config field fit must be nll or l2, got 'l3'"),
+            ({"true_rank": 5}, "config field true_rank must be in [1, 4], got 5"),
+            ({"true_rank": 0}, "config field true_rank must be in [1, 4], got 0"),
+            ({"start_ranks": []}, "config field start_ranks must be nonempty"),
+            ({"solver": {"max_iter": -5}}, "config field solver.max_iter must be >= 0, got -5"),
+            ({"solver": {"tol": math.nan}}, "config field solver.tol must be finite and >= 0"),
+        ],
+        ids=["fit", "true-rank-high", "true-rank-zero", "start-ranks-empty", "max-iter", "tol"],
+    )
+    def test_rejects_bad_inputs_before_any_truth(
+        self, small_descriptor, monkeypatch, override, message
+    ):
+        # these used to fail only once a truth was drawn or inside the first
+        # solve, and an empty start_ranks wrote empty records
+        calls = []
+
+        def counted(fn):
+            return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
+
+        for name in ("random_density", "simulate_data", "fgd_solve"):
+            monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+        config = {"operator": small_descriptor, "true_rank": 2, "count": 1, "start_ranks": [1]}
+        with pytest.raises(ValueError) as excinfo:
+            rank_trap({**config, **override})
+        assert message in str(excinfo.value)
+        assert calls == []
+
+    def test_borderline_over_parameterized_start_stays_valid(self):
+        # this rank-6 start reads spurious at step 119 with a kernel-restricted
+        # eigenvalue of -1.19e-8, before it settles: the certificate stop needs
+        # a restricted eigenvalue below -PSD_TOL to stop a solve spurious
+        records, _ = rank_trap(
+            {
+                "operator": standard_homodyne_descriptor(),
+                "true_rank": 5,
+                "count": 1,
+                "start_ranks": [6],
+                "solver": {"tol": 1e-12},
+                "seed": derive_seed(9, 30),
+            }
+        )
+        (record,) = records
+        assert record.stop_reason == "converged"
+        assert record.certificate.verdict == VALID
+
 
 class TestValidateCommand:
     def write_setup(self, tmp_path, state_entries, data, fit="nll"):
@@ -574,19 +622,51 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, config, message",
         [
-            ("reconstruct", {"solvers": [{"tol": math.nan}]}, "tol must be finite and >= 0"),
-            ("reconstruct", {"solvers": [{"tol": -1}]}, "tol must be finite and >= 0"),
-            ("reconstruct", {"solvers": [{"max_iter": -5}]}, "max_iter must be >= 0"),
-            ("reconstruct", {"solvers": [{}], "oracle": {"tol": -1}}, "tol must be finite"),
-            ("rank-trap", {"true_rank": 1, "count": 1, "solver": {"tol": -1}}, "tol must be"),
+            (
+                "reconstruct",
+                {"solvers": [{"tol": math.nan}]},
+                "config field solvers[0].tol must be finite and >= 0, got nan",
+            ),
+            (
+                "reconstruct",
+                {"solvers": [{"tol": -1}]},
+                "config field solvers[0].tol must be finite and >= 0, got -1",
+            ),
+            (
+                "reconstruct",
+                {"solvers": [{}, {}, {}, {"max_iter": -5}]},
+                "config field solvers[3].max_iter must be >= 0, got -5",
+            ),
+            (
+                "reconstruct",
+                {"solvers": [{}], "oracle": {"tol": -1}},
+                "config field oracle.tol must be finite and >= 0, got -1",
+            ),
+            (
+                "reconstruct",
+                {"solvers": [{}], "oracle": {"max_iter": -5}},
+                "config field oracle.max_iter must be >= 0, got -5",
+            ),
+            (
+                "rank-trap",
+                {"true_rank": 1, "count": 1, "solver": {"tol": -1}},
+                "config field solver.tol must be finite and >= 0, got -1",
+            ),
+            (
+                "rank-trap",
+                {"true_rank": 1, "count": 1, "solver": {"max_iter": -5}},
+                "config field solver.max_iter must be >= 0, got -5",
+            ),
         ],
         ids=[
             "reconstruct-tol-nan", "reconstruct-tol-negative", "reconstruct-max-iter-negative",
-            "reconstruct-oracle-tol-negative", "rank-trap-tol-negative",
+            "reconstruct-oracle-tol-negative", "reconstruct-oracle-max-iter-negative",
+            "rank-trap-tol-negative", "rank-trap-max-iter-negative",
         ],
     )
     def test_rejects_bad_stop_settings(self, command, config, message, tmp_path, capsys):
-        # a NaN or negative tol used to run every solve to max_iter
+        # a NaN or negative tol used to run every solve to max_iter; the message
+        # used to leave out which block held the setting
         assert self.run_with_config(command, config, tmp_path) == 1
         assert message in capsys.readouterr().err
 
@@ -628,7 +708,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "entry, message",
         [
-            ({"max_iter": -5}, "max_iter must be >= 0"),
+            ({"max_iter": -5}, "config field solvers[1].max_iter must be >= 0, got -5"),
             ({"solver": "gmm"}, "solvers[1].solver must be gm, fgd or mle, got 'gmm'"),
             ({"solver": "pgd"}, "solvers[1].solver must be gm, fgd or mle, got 'pgd'"),
             ({"fit": "l3"}, "solvers[1].fit must be nll or l2"),

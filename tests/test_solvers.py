@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from tomokit.diagnostics import (
+    PSD_TOL,
     SPURIOUS,
     VALID,
     construct_spurious_t2,
+    m_set_residual,
     mu_exclusion,
     validity_certificate,
 )
@@ -495,6 +497,46 @@ class TestScaledFactorized:
         state, trace = fgd_solve(FactorState(X), obj, max_iter=50, precondition=True)
         assert trace.stop_reason == CONVERGED
         assert trace_norm(state.density().entries - _outer(X)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["nll", "l2"])
+    def test_fixed_point_defect_matches_m_set_residual(self, t2, homodyne_small, kind):
+        rng = np.random.default_rng(45)
+        cases = []
+        for op in (t2, homodyne_small):
+            obj = Objective(op, op.apply(random_density(op.dim, 2, 46)), kind=kind)
+            for r in range(1, op.dim + 1):
+                X = rng.standard_normal((op.dim, r)) + 1j * rng.standard_normal((op.dim, r))
+                cases.append((obj, X / np.linalg.norm(X)))
+        # a spurious fixed point, where the defect is rounding
+        rho_fix, data, _ = construct_spurious_t2(0.5)
+        cases.append((Objective(t2, data, kind=kind), FactorState.from_density(rho_fix, 1).X))
+        for obj, X in cases:
+            g = obj._gradient_arr(_outer(X))
+            expected = m_set_residual(_outer(X), -g)[1]
+            assert _scaled_fgd_prepare(X, X, g)[2] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "start_rank, verdict", [(3, VALID), (1, SPURIOUS)], ids=["over-parameterized", "trapped"]
+    )
+    def test_stops_at_first_decisive_verdict(self, homodyne_small, start_rank, verdict):
+        # tol = 0 leaves the certificate as the only stop; one step fewer must
+        # end at max_iter on a state whose verdict is not decisive
+        truth = random_density(4, 2, 47)
+        obj = Objective(homodyne_small, homodyne_small.apply(truth), kind="nll")
+        state0 = FactorState.from_density(random_density(4, start_rank, 48), start_rank)
+        state, trace = fgd_solve(state0, obj, max_iter=20000, tol=0.0, precondition=True)
+        assert trace.stop_reason == CONVERGED
+        cert = validity_certificate(state.density(), obj)
+        assert cert.verdict == verdict
+        if verdict == SPURIOUS:
+            assert cert.min_eig_Q_restricted < -PSD_TOL
+        n = trace.iterations
+        state, retrace = fgd_solve(state0, obj, max_iter=n - 1, tol=0.0, precondition=True)
+        assert (retrace.stop_reason, retrace.iterations) == (MAX_ITER, n - 1)
+        assert retrace.objective_values == trace.objective_values[:n]
+        cert = validity_certificate(state.density(), obj)
+        assert cert.verdict != VALID
+        assert not (cert.verdict == SPURIOUS and cert.min_eig_Q_restricted < -PSD_TOL)
 
     def test_over_parameterized_exact_data_stops_certified(self, t2, homodyne_small):
         cases = [(t2, 1, 2), (t2, 2, 2), (homodyne_small, 2, 3), (homodyne_small, 2, 4)]
