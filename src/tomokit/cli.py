@@ -19,7 +19,7 @@ def _load_config(path: str) -> dict:
 
 def _out_dir(args, config: dict) -> str:
     """--out, else the config's output_dir, else the working directory."""
-    return args.out or experiments._json_str(config.get("output_dir", "."), "output_dir") or "."
+    return args.out or experiments._json_of(config.get("output_dir", "."), "output_dir", str) or "."
 
 
 def _cmd_generate(args) -> int:

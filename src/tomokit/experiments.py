@@ -145,15 +145,13 @@ class ExperimentSpec:
     output_dir: str = "."
 
     def __post_init__(self):
-        if self.count_per_rank < 1:
-            raise ValueError(f"count_per_rank must be >= 1, got {self.count_per_rank}")
+        _in_range(self.count_per_rank, "ensemble.count_per_rank", 1)
         if not self.noise_scale > 0:
-            raise ValueError(f"noise scale must be positive, got {self.noise_scale}")
+            raise ValueError(f"config field noise.scale must be positive, got {self.noise_scale}")
         if not self.ranks:
-            raise ValueError("ranks must be nonempty")
+            raise ValueError("config field ensemble.ranks must be nonempty")
         for r in self.ranks:
-            if not 1 <= r <= self.dim:
-                raise ValueError(f"rank {r} outside [1, {self.dim}]")
+            _in_range(r, "ensemble.ranks", 1, self.dim)
 
     def config_dict(self) -> dict:
         return {
@@ -169,35 +167,28 @@ class ExperimentSpec:
         }
 
 
+def _json_of(value, name: str, kind: type):
+    """The config field `name`, which must be a JSON `kind`: dict, list (or tuple), bool or str."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        noun = {dict: "object", list: "list", bool: "boolean", str: "string"}[kind]
+        raise ValueError(f"config field {name} must be a JSON {noun}, got {value!r}")
+    return value
+
+
 def _json_object(value, name: str, known: tuple) -> dict:
     """A nested config block, which must be a JSON object whose keys are all in `known`,
     so that a mistyped key fails instead of leaving its setting at the default."""
-    if not isinstance(value, dict):
-        raise ValueError(f"config field {name} must be a JSON object, got {value!r}")
-    for key in value:
+    for key in _json_of(value, name, dict):
         if key not in known:
             raise ValueError(f"config field {name}.{key} is unknown; {name} takes {known}")
     return value
 
 
-def _json_list(value, name: str) -> list:
-    """A list-typed config field, which must be a JSON list."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"config field {name} must be a JSON list, got {value!r}")
-    return list(value)
-
-
-def _json_bool(value, name: str) -> bool:
-    """A flag config field, which must be a JSON boolean."""
-    if not isinstance(value, bool):
-        raise ValueError(f"config field {name} must be a JSON boolean, got {value!r}")
-    return value
-
-
-def _json_str(value, name: str) -> str:
-    """A text config field, such as a path or a data variant, which must be a JSON string."""
-    if not isinstance(value, str):
-        raise ValueError(f"config field {name} must be a JSON string, got {value!r}")
+def _in_range(value, name: str, low, high=math.inf):
+    """The number `value` of the config field `name`, which must lie in [low, high]."""
+    if not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"config field {name} must be {bound}, got {value}")
     return value
 
 
@@ -205,18 +196,18 @@ def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> Experimen
     ensemble = config.get("ensemble", {})
     ensemble = _json_object(ensemble, "ensemble", ("dim", "ranks", "count_per_rank"))
     noise = _json_object(config.get("noise", {}), "noise", ("scale", "enabled"))
-    ranks = _json_list(ensemble["ranks"], "ensemble.ranks")
+    ranks = _json_of(ensemble.get("ranks"), "ensemble.ranks", list)
     count = ensemble.get("count_per_rank", 1)
     if output_dir is None:
-        output_dir = _json_str(config.get("output_dir", "."), "output_dir")
+        output_dir = _json_of(config.get("output_dir", "."), "output_dir", str)
     return ExperimentSpec(
-        operator=config["operator"],
-        dim=_config_number(ensemble["dim"], "ensemble.dim", int),
+        operator=config.get("operator"),
+        dim=_config_number(ensemble.get("dim"), "ensemble.dim", int),
         ranks=[_config_number(r, "ensemble.ranks", int) for r in ranks],
         count_per_rank=_config_number(count, "ensemble.count_per_rank", int),
         noise_scale=_config_number(noise.get("scale", 500.0), "noise.scale"),
-        noise_enabled=_json_bool(noise.get("enabled", True), "noise.enabled"),
-        solvers=_json_list(config.get("solvers", []), "solvers"),
+        noise_enabled=_json_of(noise.get("enabled", True), "noise.enabled", bool),
+        solvers=list(_json_of(config.get("solvers", []), "solvers", list)),
         seed=_config_number(config.get("seed", 0) if seed is None else seed, "seed", int),
         output_dir=str(output_dir),
     )
@@ -354,8 +345,8 @@ def _solver_entry(cfg, name: str, dim: int) -> dict:
     """A `solvers` entry, checked in full, with its defaults filled in and with `id`, the
     label of its records: `solver` gm, fgd or mle (gm), `fit` nll or l2 (nll; mle takes
     nll only), `tol` (1e-10), `max_iter` (20000), `rank` in [1, dim] (absent or null:
-    full), `seed` (0) and `data` (absent: noisy if the instance has noisy data, else
-    exact). Any other key is a ValueError."""
+    full), `seed` (0) and `data` exact or noisy (absent: noisy if the instance has noisy
+    data, else exact). Any other key is a ValueError."""
     cfg = _json_object(cfg, name, ("solver", "fit", "tol", "max_iter", "rank", "seed", "data"))
     solver, fit = cfg.get("solver", "gm"), cfg.get("fit", NEG_LOG_LIKELIHOOD)
     if solver not in ("gm", "fgd", "mle"):
@@ -365,13 +356,13 @@ def _solver_entry(cfg, name: str, dim: int) -> dict:
     tol, max_iter = _stop_rule(cfg, name, 1e-10)
     rank = cfg.get("rank")
     if rank is not None:
-        rank = _config_number(rank, f"{name}.rank", int)
-        if not 1 <= rank <= dim:
-            raise ValueError(f"config field {name}.rank must be in [1, {dim}], got {rank}")
+        rank = _in_range(_config_number(rank, f"{name}.rank", int), f"{name}.rank", 1, dim)
+    data = _json_of(cfg["data"], f"{name}.data", str) if "data" in cfg else None
+    if data not in (None, "exact", "noisy"):
+        raise ValueError(f"config field {name}.data must be exact or noisy, got {data!r}")
     label = f"{solver}-{fit}-{'full' if rank is None else f'r{rank}'}"
     return dict(id=label, solver=solver, fit=fit, tol=tol, max_iter=max_iter, rank=rank,
-                seed=_config_number(cfg.get("seed", 0), f"{name}.seed", int),
-                data=_json_str(cfg["data"], f"{name}.data") if "data" in cfg else None)
+                seed=_config_number(cfg.get("seed", 0), f"{name}.seed", int), data=data)
 
 
 def run_solver_config(
@@ -441,13 +432,13 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     """
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
-    operator = operator_from_descriptor(manifest["config"]["operator"])
+    operator = operator_from_descriptor(manifest["config"].get("operator"))
     solver_cfgs = run_config.get("solvers") or manifest["config"].get("solvers") or []
     if not solver_cfgs:
         raise ValueError("no solver configurations given")
     solver_cfgs = [
         _solver_entry(cfg, f"solvers[{i}]", operator.dim)
-        for i, cfg in enumerate(_json_list(solver_cfgs, "solvers"))
+        for i, cfg in enumerate(_json_of(solver_cfgs, "solvers", list))
     ]
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle", ("tol", "max_iter"))
     oracle_tol, oracle_max_iter = _stop_rule(oracle_cfg, "oracle", 1e-10)
@@ -461,7 +452,7 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
         truth = DensityLike(load_matrix(dataset / entry["files"]["truth"]["path"]))
         truth_desc = {"rank": entry["rank"], "seed": entry["truth_seed"]}
         data_cache: dict[str, MeasurementData] = {}
-        oracle_cache: dict[tuple[str, str], DensityLike] = {}
+        oracle_cache: dict[str, DensityLike] = {}
         default = "noisy" if "noisy" in entry["files"] else "exact"
         for cfg in solver_cfgs:
             variant = default if cfg["data"] is None else cfg["data"]
@@ -477,13 +468,12 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
 
             oracle_distance = math.nan
             if variant == "noisy":
-                key = (variant, obj.kind)
-                if key not in oracle_cache:
+                if obj.kind not in oracle_cache:
                     mixed = np.eye(operator.dim, dtype=complex) / operator.dim
-                    oracle_cache[key] = pgd_solve(
+                    oracle_cache[obj.kind] = pgd_solve(
                         DensityLike.from_array(mixed), obj, max_iter=oracle_max_iter, tol=oracle_tol
                     )
-                oracle_distance = trace_norm(final.entries - oracle_cache[key].entries)
+                oracle_distance = trace_norm(final.entries - oracle_cache[obj.kind].entries)
 
             records.append(
                 _run_record(
@@ -524,27 +514,21 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     distance, median kernel-restricted minimum eigenvalue, spurious fraction
     and median iteration count.
     """
-    operator = operator_from_descriptor(config["operator"])
+    operator = operator_from_descriptor(config.get("operator"))
     N = operator.dim
     true_rank = _config_number(config.get("true_rank", 5), "true_rank", int)
-    count = _config_number(config.get("count", 10), "count", int)
-    start_ranks = _json_list(config.get("start_ranks", list(range(1, N + 1))), "start_ranks")
+    count = _in_range(_config_number(config.get("count", 10), "count", int), "count", 1)
+    start_ranks = _json_of(config.get("start_ranks", list(range(1, N + 1))), "start_ranks", list)
     start_ranks = [_config_number(r, "start_ranks", int) for r in start_ranks]
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     if not start_ranks:
         raise ValueError("config field start_ranks must be nonempty")
     for r in start_ranks:
-        if not 1 <= r <= N:
-            raise ValueError(f"start rank {r} outside [1, {N}]")
+        _in_range(r, "start_ranks", 1, N)
     solver_cfg = _json_object(config.get("solver", {}), "solver", ("tol", "max_iter"))
     tol, max_iter = _stop_rule(solver_cfg, "solver", 1e-12)
     seed = _config_number(config.get("seed", 0), "seed", int)
-    fit = config.get("fit", NEG_LOG_LIKELIHOOD)
-    if fit not in OBJECTIVE_KINDS:
-        raise ValueError(f"config field fit must be nll or l2, got {fit!r}")
-    if not 1 <= true_rank <= N:
-        raise ValueError(f"config field true_rank must be in [1, {N}], got {true_rank}")
+    fit = _fit(config)
+    _in_range(true_rank, "true_rank", 1, N)
 
     records = []
     by_start_rank: dict[int, list[RunRecord]] = {r: [] for r in start_ranks}
@@ -589,16 +573,25 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
 
 # --- validation ------------------------------------------------------------------
 
+def _fit(config: dict) -> str:
+    """The top-level `fit` field of a rank-trap or validate config: nll or l2 (nll)."""
+    fit = config.get("fit", NEG_LOG_LIKELIHOOD)
+    if fit not in OBJECTIVE_KINDS:
+        raise ValueError(f"config field fit must be nll or l2, got {fit!r}")
+    return fit
+
+
 def validate_state(state_path, config: dict, data_path) -> tuple[ValidityCertificate, int]:
     """Certificate plus machine exit code (0 valid / 2 spurious / 3 not fixed point).
 
-    Reads the keys `operator` (required descriptor) and `fit` (default nll);
-    the state must have unit trace.
+    Reads the keys `operator` (required descriptor) and `fit` (default nll), both
+    checked before any file is read; the state must have unit trace.
     """
+    fit = _fit(config)
+    operator = operator_from_descriptor(config.get("operator"))
     matrix = load_matrix(state_path)
-    operator = operator_from_descriptor(config["operator"])
     data = MeasurementData.load_csv(data_path)
-    obj = Objective(operator, data, kind=config.get("fit", "nll"))
+    obj = Objective(operator, data, kind=fit)
     cert = validity_certificate(DensityLike(matrix), obj)
     return cert, VALIDATE_EXIT_CODES[cert.verdict]
 

@@ -245,7 +245,7 @@ def _config_number(value, name: str, kind=float):
 def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
     """Build an operator from its JSON descriptor (kinds: pauli6, homodyne)."""
     if not isinstance(descriptor, dict):
-        raise ValueError(f"operator descriptor must be a JSON object, got {descriptor!r}")
+        raise ValueError(f"config field operator must be a JSON object, got {descriptor!r}")
     kind = descriptor.get("kind")
     if kind == "pauli6":
         return pauli_six_state()

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .diagnostics import FIX_TOL, PSD_TOL, SPURIOUS, VALID, _certificate
+from .diagnostics import _decisive
 from .hermitian import DensityLike, _project_density_arr, entries_of, trace_norm
 from .objectives import NEG_LOG_LIKELIHOOD, Objective
 
@@ -253,16 +253,6 @@ def _record_step(trace: SolverTrace, f: float, eps: float, d_rho, tol: float) ->
     return residual < tol and trace_norm(d_rho) < tol
 
 
-def _decisive(rho: np.ndarray, g: np.ndarray) -> bool:
-    """Whether the certificate of the density array rho, with gradient g, reads valid,
-    or spurious with a kernel-restricted eigenvalue below -PSD_TOL. A spurious reading
-    within that margin can still turn valid as the iterate settles."""
-    cert = _certificate(rho, g)
-    if cert.verdict == SPURIOUS:
-        return cert.min_eig_Q_restricted < -PSD_TOL
-    return cert.verdict == VALID
-
-
 def _line_searched_solve(
     state: np.ndarray,
     obj: Objective,
@@ -343,7 +333,7 @@ def _line_searched_solve(
         elif restart is not None:
             k += 1
         if _record_step(trace, f, eps, d_rho, tol) or (
-            m_residual is not None and m_residual <= FIX_TOL and _decisive(rho, g_new)
+            m_residual is not None and _decisive(rho, g_new, m_residual)
         ):
             trace.stop_reason = CONVERGED
             break

@@ -57,6 +57,18 @@ def count_eigensolves(monkeypatch, *solves):
     return calls
 
 
+def count_calls(monkeypatch, *names):
+    """A list that gains the name of each named experiments function on every call."""
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
+
+    for name in names:
+        monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+    return calls
+
+
 def small_spec(tmp_path, **overrides):
     config = {
         "operator": standard_homodyne_descriptor(dim=4, n_angles=5, n_bins=12, half_width=6.0),
@@ -343,7 +355,8 @@ class TestRankTrap:
         assert calls["in_solve"] <= iterations / 10
 
     def test_zero_start_rank_rejected(self, small_descriptor):
-        with pytest.raises(ValueError, match="start rank"):
+        message = r"config field start_ranks must be in \[1, 4\], got 0"
+        with pytest.raises(ValueError, match=message):
             rank_trap({"operator": small_descriptor, "start_ranks": [0], "count": 1})
 
     @pytest.mark.parametrize(
@@ -675,7 +688,11 @@ class TestCli:
         [
             ("reconstruct", {"solvers": [{"data": ["noisy"]}]}, "solvers[0].data must be a JSON"),
             ("reconstruct", {"solvers": [{}, {"data": {"v": 1}}]}, "solvers[1].data must be a"),
-            ("reconstruct", {"solvers": [{"data": "clean"}]}, "has no 'clean' data"),
+            (
+                "reconstruct",
+                {"solvers": [{"data": "clean"}]},
+                "config field solvers[0].data must be exact or noisy, got 'clean'",
+            ),
             (
                 "reconstruct",
                 {"solvers": [{"max_iter": 5}], "output_dir": 5},
@@ -716,7 +733,7 @@ class TestCli:
             ({"solver": "mle", "fit": "l2"}, "solvers[1].fit must be nll or l2 (mle: nll)"),
             ({"solver": "fgd", "rank": 3}, "solvers[1].rank must be in [1, 2], got 3"),
             ({"seed": "1"}, "solvers[1].seed must be a number"),
-            ({"data": "clean"}, "instance r01_i000 has no 'clean' data"),
+            ({"data": "clean"}, "config field solvers[1].data must be exact or noisy, got 'clean'"),
         ],
         ids=["max-iter", "solver", "pgd", "fit", "fit-case", "mle-l2", "rank", "seed", "data"],
     )
@@ -772,6 +789,109 @@ class TestCli:
         assert self.run_with_config(command, config, tmp_path) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_rejects_data_variant_an_instance_lacks(self, tmp_path, capsys, monkeypatch):
+        solves = count_calls(monkeypatch, "gm_solve", "pgd_solve")
+        spec = {
+            "operator": {"kind": "pauli6"},
+            "ensemble": {"dim": 2, "ranks": [1]},
+            "noise": {"enabled": False},
+        }
+        generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solvers": [{"solver": "gm"}, {"data": "noisy"}]}))
+        argv = ["reconstruct", "--config", str(cfg), "--dataset", str(tmp_path / "data")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert "instance r01_i000 has no 'noisy' data" in capsys.readouterr().err
+        assert solves == []
+
+    MISSING = object()
+
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            ("rank-trap", {"count": 0}, "config field count must be >= 1, got 0"),
+            (
+                "rank-trap",
+                {"start_ranks": [0]},
+                "config field start_ranks must be in [1, 2], got 0",
+            ),
+            ("rank-trap", {"operator": MISSING}, "config field operator must be a JSON object"),
+            (
+                "generate",
+                {"ensemble": {"dim": 2, "ranks": [5]}},
+                "config field ensemble.ranks must be in [1, 2], got 5",
+            ),
+            (
+                "generate",
+                {"ensemble": {"dim": 2, "ranks": []}},
+                "config field ensemble.ranks must be nonempty",
+            ),
+            (
+                "generate",
+                {"ensemble": {"dim": 2}},
+                "config field ensemble.ranks must be a JSON list, got None",
+            ),
+            (
+                "generate",
+                {"ensemble": {"dim": 2, "ranks": [1], "count_per_rank": 0}},
+                "config field ensemble.count_per_rank must be >= 1, got 0",
+            ),
+            ("generate", {"noise": {"scale": 0}}, "config field noise.scale must be positive"),
+            ("generate", {"operator": MISSING}, "config field operator must be a JSON object"),
+            ("validate", {"operator": MISSING}, "config field operator must be a JSON object"),
+            ("validate", {"fit": "l3"}, "config field fit must be nll or l2, got 'l3'"),
+            (
+                "reconstruct",
+                {"solvers": [{"solver": "gm"}, {"solver": "gm", "data": "truth"}]},
+                "config field solvers[1].data must be exact or noisy, got 'truth'",
+            ),
+        ],
+        ids=[
+            "rank-trap-count", "rank-trap-start-rank", "rank-trap-operator",
+            "generate-ranks-high", "generate-ranks-empty", "generate-ranks-missing",
+            "generate-count-per-rank", "generate-noise-scale", "generate-operator",
+            "validate-operator", "validate-fit", "reconstruct-data-truth",
+        ],
+    )
+    def test_config_errors_name_their_field(
+        self, command, override, message, tmp_path, capsys, monkeypatch
+    ):
+        # these used to read "count must be >= 1, got 0", "start rank 0 outside
+        # [1, 2]", "rank 5 outside [1, 2]", "ranks must be nonempty", "'ranks'",
+        # "count_per_rank must be ...", "noise scale must be ...", "'operator'" and
+        # "unknown objective kind 'l3'" (after the state file was read); a "truth"
+        # data variant passed the entry check and stopped inside reconstruct
+        # after the first solve
+        calls = count_calls(
+            monkeypatch, "load_matrix", "gm_solve", "fgd_solve", "mle_solve", "pgd_solve"
+        )
+        pauli6 = {"kind": "pauli6"}
+        base = {
+            "rank-trap": {"operator": pauli6, "true_rank": 1, "count": 1, "start_ranks": [1]},
+            "generate": {"operator": pauli6, "ensemble": {"dim": 2, "ranks": [1]}},
+            "validate": {"operator": pauli6},
+            "reconstruct": {},
+        }[command]
+        config = {k: v for k, v in {**base, **override}.items() if v is not self.MISSING}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg)]
+        if command == "validate":
+            state, data = tmp_path / "s.json", tmp_path / "d.csv"
+            save_matrix(state, np.eye(2) / 2)
+            _write_data_csv(data, 0.5)
+            argv += ["--state", str(state), "--data", str(data)]
+        else:
+            argv += ["--out", str(out)]
+        if command == "reconstruct":
+            spec = {"operator": pauli6, "ensemble": {"dim": 2, "ranks": [1]}}
+            generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+            argv += ["--dataset", str(tmp_path / "data")]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_generate_checks_dim_before_writing(self, tmp_path, capsys):
         # a dim that the operator does not have used to leave a truth.json behind
