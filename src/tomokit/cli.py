@@ -59,42 +59,55 @@ def _cmd_validate(args) -> int:
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help line, handler and arguments (flag, keyword arguments).
+COMMANDS = {
+    "generate": ("generate a synthetic dataset from a spec", _cmd_generate, [
+        ("--config", dict(required=True, help="experiment spec JSON")),
+        ("--seed", dict(type=int, default=None, help="override the spec seed")),
+        ("--out", dict(default=None, help="output directory")),
+    ]),
+    "reconstruct": ("run solvers against a generated dataset", _cmd_reconstruct, [
+        ("--config", dict(required=True, help="run config JSON with solver list")),
+        ("--dataset", dict(required=True, help="dataset directory (with manifest.json)")),
+        ("--out", dict(default=None, help="output directory for record tables")),
+    ]),
+    "rank-trap": ("rank-limited starts against fixed-rank truths", _cmd_rank_trap, [
+        ("--config", dict(required=True, help="protocol config JSON")),
+        ("--seed", dict(type=int, default=None, help="override the config seed")),
+        ("--out", dict(default=None, help="output directory")),
+    ]),
+    "validate": ("first-order validity check of a state file", _cmd_validate, [
+        ("--state", dict(required=True, help="matrix JSON file")),
+        ("--config", dict(required=True, help="objective config JSON (operator + fit)")),
+        ("--data", dict(required=True, help="measurement data CSV")),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `tomo` parser, with every command, or with only `command`: that parses
+    the command's arguments the same way, and skips building the others."""
     parser = argparse.ArgumentParser(
         prog="tomo",
         description="Density-matrix reconstruction runs with fixed-point validity checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate a synthetic dataset from a spec")
-    gen.add_argument("--config", required=True, help="experiment spec JSON")
-    gen.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    gen.add_argument("--out", default=None, help="output directory")
-    gen.set_defaults(handler=_cmd_generate)
-
-    rec = sub.add_parser("reconstruct", help="run solvers against a generated dataset")
-    rec.add_argument("--config", required=True, help="run config JSON with solver list")
-    rec.add_argument("--dataset", required=True, help="dataset directory (with manifest.json)")
-    rec.add_argument("--out", default=None, help="output directory for record tables")
-    rec.set_defaults(handler=_cmd_reconstruct)
-
-    trap = sub.add_parser("rank-trap", help="rank-limited starts against fixed-rank truths")
-    trap.add_argument("--config", required=True, help="protocol config JSON")
-    trap.add_argument("--seed", type=int, default=None, help="override the config seed")
-    trap.add_argument("--out", default=None, help="output directory")
-    trap.set_defaults(handler=_cmd_rank_trap)
-
-    val = sub.add_parser("validate", help="first-order validity check of a state file")
-    val.add_argument("--state", required=True, help="matrix JSON file")
-    val.add_argument("--config", required=True, help="objective config JSON (operator + fit)")
-    val.add_argument("--data", required=True, help="measurement data CSV")
-    val.set_defaults(handler=_cmd_validate)
-
+    # With one command built, the usage line still names them all.
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, handler, arguments) in COMMANDS.items():
+        if command in (None, name):
+            cmd = sub.add_parser(name, help=text)
+            for flag, options in arguments:
+                cmd.add_argument(flag, **options)
+            cmd.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A call names one command, so only its parser is built (the others took
+    # half of a validate call's parse).
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)

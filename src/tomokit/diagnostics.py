@@ -117,16 +117,19 @@ def _certificate(rho: np.ndarray, g: np.ndarray) -> ValidityCertificate:
     )
 
 
-def _decisive(rho: np.ndarray, g: np.ndarray, m_residual: float) -> bool:
-    """The certificate stop of a solve: whether rho, with gradient g and a fixed-point defect
-    m_residual <= FIX_TOL, reads valid, or spurious with a kernel-restricted eigenvalue below
-    -PSD_TOL (a spurious reading within that margin can still turn valid as rho settles)."""
+def _decisive(rho: np.ndarray, g: np.ndarray, m_residual: float) -> ValidityCertificate | None:
+    """The certificate stop of a solve: the certificate of rho, with gradient g and a
+    fixed-point defect m_residual <= FIX_TOL, when it reads valid, or spurious with a
+    kernel-restricted eigenvalue below -PSD_TOL (a spurious reading within that margin
+    can still turn valid as rho settles); else None."""
     if not m_residual <= FIX_TOL:
-        return False
+        return None
     cert = _certificate(rho, g)
-    if cert.verdict == SPURIOUS:
-        return cert.min_eig_Q_restricted < -PSD_TOL
-    return cert.verdict == VALID
+    if cert.verdict == VALID or (
+        cert.verdict == SPURIOUS and cert.min_eig_Q_restricted < -PSD_TOL
+    ):
+        return cert
+    return None
 
 
 def mu_exclusion(rho: DensityLike, obj: Objective) -> float:

@@ -22,7 +22,15 @@ from .diagnostics import (
     ValidityCertificate,
     validity_certificate,
 )
-from .hermitian import DensityLike, load_matrix, random_density, save_matrix, trace_norm
+from .hermitian import (
+    DensityLike,
+    _json_object,
+    _json_of,
+    load_matrix,
+    random_density,
+    save_matrix,
+    trace_norm,
+)
 from .objectives import NEG_LOG_LIKELIHOOD, OBJECTIVE_KINDS, Objective
 from .operators import (
     MeasurementData,
@@ -148,10 +156,7 @@ class ExperimentSpec:
         _in_range(self.count_per_rank, "ensemble.count_per_rank", 1)
         if not self.noise_scale > 0:
             raise ValueError(f"config field noise.scale must be positive, got {self.noise_scale}")
-        if not self.ranks:
-            raise ValueError("config field ensemble.ranks must be nonempty")
-        for r in self.ranks:
-            _in_range(r, "ensemble.ranks", 1, self.dim)
+        _rank_list(self.ranks, "ensemble.ranks", self.dim)
 
     def config_dict(self) -> dict:
         return {
@@ -167,29 +172,23 @@ class ExperimentSpec:
         }
 
 
-def _json_of(value, name: str, kind: type):
-    """The config field `name`, which must be a JSON `kind`: dict, list (or tuple), bool or str."""
-    if not isinstance(value, (list, tuple) if kind is list else kind):
-        noun = {dict: "object", list: "list", bool: "boolean", str: "string"}[kind]
-        raise ValueError(f"config field {name} must be a JSON {noun}, got {value!r}")
-    return value
-
-
-def _json_object(value, name: str, known: tuple) -> dict:
-    """A nested config block, which must be a JSON object whose keys are all in `known`,
-    so that a mistyped key fails instead of leaving its setting at the default."""
-    for key in _json_of(value, name, dict):
-        if key not in known:
-            raise ValueError(f"config field {name}.{key} is unknown; {name} takes {known}")
-    return value
-
-
 def _in_range(value, name: str, low, high=math.inf):
     """The number `value` of the config field `name`, which must lie in [low, high]."""
     if not low <= value <= high:
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"config field {name} must be {bound}, got {value}")
     return value
+
+
+def _rank_list(ranks: list, name: str, dim: int) -> list:
+    """The config field `name`: a nonempty list of distinct ranks in [1, dim]."""
+    if not ranks:
+        raise ValueError(f"config field {name} must be nonempty")
+    for r in ranks:
+        _in_range(r, name, 1, dim)
+    if len(set(ranks)) < len(ranks):
+        raise ValueError(f"config field {name} must not repeat an entry, got {ranks}")
+    return ranks
 
 
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
@@ -402,7 +401,10 @@ def _run_record(
     wall: float,
     oracle_distance: float = math.nan,
 ) -> RunRecord:
-    """Record of one solve, certified at its final state."""
+    """Record of one solve, with the certificate of its final state: the one its
+    certificate stop computed, if that stop ended it, else a new one. `final`
+    must be the state the solve returned with `trace` and `obj` the objective
+    it minimized, so that a kept certificate is that of `final` under `obj`."""
     return RunRecord(
         instance_id=instance_id,
         truth=truth_desc,
@@ -411,7 +413,11 @@ def _run_record(
         trace_distance_to_truth=trace_norm(final.entries - truth.entries),
         trace_distance_to_oracle=oracle_distance,
         final_objective=obj.value(final),
-        certificate=validity_certificate(final, obj),
+        certificate=(
+            trace.certificate
+            if trace.certificate is not None
+            else validity_certificate(final, obj)
+        ),
         iterations=trace.iterations,
         stop_reason=trace.stop_reason,
         floor_triggered=obj.floor_active(final),
@@ -508,8 +514,8 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     certificate's own tolerance (plain FGD at tol 1e-12: about 6e-10).
     The config fields are checked before any truth is drawn: `fit` nll or l2
     (nll), `true_rank` in [1, N] (5), `count` >= 1 (10), a nonempty
-    `start_ranks` in [1, N] (1..N) and the `solver` block's `tol` (1e-12) and
-    `max_iter` (20000).
+    `start_ranks` of distinct ranks in [1, N] (1..N) and the `solver` block's
+    `tol` (1e-12) and `max_iter` (20000).
     Returns the run records plus a per-start-rank summary with median trace
     distance, median kernel-restricted minimum eigenvalue, spurious fraction
     and median iteration count.
@@ -519,11 +525,8 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     true_rank = _config_number(config.get("true_rank", 5), "true_rank", int)
     count = _in_range(_config_number(config.get("count", 10), "count", int), "count", 1)
     start_ranks = _json_of(config.get("start_ranks", list(range(1, N + 1))), "start_ranks", list)
-    start_ranks = [_config_number(r, "start_ranks", int) for r in start_ranks]
-    if not start_ranks:
-        raise ValueError("config field start_ranks must be nonempty")
-    for r in start_ranks:
-        _in_range(r, "start_ranks", 1, N)
+    start_ranks = _rank_list([_config_number(r, "start_ranks", int) for r in start_ranks],
+                             "start_ranks", N)
     solver_cfg = _json_object(config.get("solver", {}), "solver", ("tol", "max_iter"))
     tol, max_iter = _stop_rule(solver_cfg, "solver", 1e-12)
     seed = _config_number(config.get("seed", 0), "seed", int)

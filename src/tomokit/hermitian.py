@@ -146,6 +146,23 @@ def _json_number(value, name: str, kind=float):
     return number
 
 
+def _json_of(value, name: str, kind: type):
+    """The config field `name`, which must be a JSON `kind`: dict, list (or tuple), bool or str."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        noun = {dict: "object", list: "list", bool: "boolean", str: "string"}[kind]
+        raise ValueError(f"config field {name} must be a JSON {noun}, got {value!r}")
+    return value
+
+
+def _json_object(value, name: str, known: tuple) -> dict:
+    """A nested config block, which must be a JSON object whose keys are all in `known`,
+    so that a mistyped key fails instead of leaving its setting at the default."""
+    for key in _json_of(value, name, dict):
+        if key not in known:
+            raise ValueError(f"config field {name}.{key} is unknown; {name} takes {known}")
+    return value
+
+
 def _json_floats(value, name: str) -> np.ndarray:
     """A JSON list of numbers, or a list of such lists, as a float array; every
     element that is not a float goes through _json_number."""

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HERMITIAN_ATOL, HermitianMatrix, _json_floats, _json_number, entries_of
+from .hermitian import (
+    HERMITIAN_ATOL,
+    HermitianMatrix,
+    _json_floats,
+    _json_number,
+    _json_object,
+    _json_of,
+    entries_of,
+)
 
 DATA_NEG_TOL = 1e-12
 
@@ -243,13 +251,15 @@ def _config_number(value, name: str, kind=float):
 
 
 def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
-    """Build an operator from its JSON descriptor (kinds: pauli6, homodyne)."""
-    if not isinstance(descriptor, dict):
-        raise ValueError(f"config field operator must be a JSON object, got {descriptor!r}")
-    kind = descriptor.get("kind")
+    """Build an operator from its JSON descriptor (kinds: pauli6, homodyne). A key
+    that the kind does not take is an error, so a mistyped one cannot fall back
+    to a default."""
+    kind = _json_of(descriptor, "operator", dict).get("kind")
     if kind == "pauli6":
+        _json_object(descriptor, "operator", ("kind",))
         return pauli_six_state()
     if kind == "homodyne":
+        _json_object(descriptor, "operator", ("kind", "dim", "angles", "bin_edges", "quad_order"))
         try:
             return homodyne_operator(
                 _config_number(descriptor["dim"], "operator.dim", int),

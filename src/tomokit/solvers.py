@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .diagnostics import _decisive
+from .diagnostics import ValidityCertificate, _decisive
 from .hermitian import DensityLike, _project_density_arr, entries_of, trace_norm
 from .objectives import NEG_LOG_LIKELIHOOD, Objective
 
@@ -65,7 +65,9 @@ class SolverTrace:
     """Per-iteration bookkeeping for a solve; `trials` counts every trial step taken
     and `restarts` every momentum restart, after a failed trial or from the gradient.
     `residuals` holds the Frobenius norm of each accepted density step, a lower
-    bound on the trace norm that the stop test compares with tol."""
+    bound on the trace norm that the stop test compares with tol. `certificate` is
+    the validity certificate of the final state when the certificate stop ended
+    the solve, else None."""
 
     objective_values: list[float] = field(default_factory=list)
     eps_values: list[float] = field(default_factory=list)
@@ -74,6 +76,7 @@ class SolverTrace:
     trials: int = 0
     restarts: int = 0
     iterates_kept: list | None = None
+    certificate: ValidityCertificate | None = None
 
     @property
     def iterations(self) -> int:
@@ -283,8 +286,9 @@ def _line_searched_solve(
     The solve stops `converged` at the first accepted step d_rho with
     trace_norm(d_rho) < tol (see _record_step), or at the first accepted state
     whose m_residual is at most FIX_TOL and whose full certificate is decisive:
-    valid, or spurious with a kernel-restricted eigenvalue below -PSD_TOL. So
-    the certificate's eigensolves run only at fixed points.
+    valid, or spurious with a kernel-restricted eigenvalue below -PSD_TOL, and
+    then keeps that certificate as trace.certificate. So the certificate's
+    eigensolves run only at fixed points.
     """
     _check_stop_rule(tol, max_iter)
     rho = density_of(state)
@@ -332,9 +336,11 @@ def _line_searched_solve(
             trace.restarts += 1
         elif restart is not None:
             k += 1
-        if _record_step(trace, f, eps, d_rho, tol) or (
-            m_residual is not None and _decisive(rho, g_new, m_residual)
-        ):
+        converged = _record_step(trace, f, eps, d_rho, tol)
+        if not converged and m_residual is not None:
+            trace.certificate = _decisive(rho, g_new, m_residual)
+            converged = trace.certificate is not None
+        if converged:
             trace.stop_reason = CONVERGED
             break
         if next_eps is not None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tomokit import experiments
-from tomokit.cli import main
+from tomokit.cli import COMMANDS, build_parser, main
 from tomokit.diagnostics import SPURIOUS, VALID, construct_spurious_t2
 from tomokit.experiments import (
     RECORD_CSV_COLUMNS,
@@ -262,6 +262,23 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="no solver"):
             reconstruct_dataset(dataset, {"solvers": []})
 
+    def test_manifest_operator_with_unknown_key_rejected(self, tmp_path):
+        # generate used to write any extra operator key into the manifest, and
+        # reconstruct then built the operator without it
+        spec = small_spec(tmp_path / "data")
+        generate_dataset(spec)
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["operator"]["quad_ordr"] = 3
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as excinfo:
+            reconstruct_dataset(tmp_path / "data", self.run_config(), out_dir=tmp_path / "out")
+        assert str(excinfo.value) == (
+            "config field operator.quad_ordr is unknown; operator takes "
+            "('kind', 'dim', 'angles', 'bin_edges', 'quad_order')"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestRankTrap:
     def test_small_protocol(self, small_descriptor, tmp_path, monkeypatch):
@@ -354,6 +371,15 @@ class TestRankTrap:
         iterations = sum(rec.iterations for rec in self.budget_records(small_descriptor))
         assert calls["in_solve"] <= iterations / 10
 
+    def test_records_reuse_the_certificate_of_the_stop(self, small_descriptor, monkeypatch):
+        # each record used to certify its final state again, right after the
+        # certificate stop had certified the same state
+        calls = count_calls(monkeypatch, "validity_certificate")
+        config = {"operator": small_descriptor, "true_rank": 2, "count": 2, "start_ranks": [1, 3]}
+        records, _ = rank_trap({**config, "seed": 5})
+        assert [rec.stop_reason for rec in records] == ["converged"] * 4
+        assert calls == []
+
     def test_zero_start_rank_rejected(self, small_descriptor):
         message = r"config field start_ranks must be in \[1, 4\], got 0"
         with pytest.raises(ValueError, match=message):
@@ -366,10 +392,17 @@ class TestRankTrap:
             ({"true_rank": 5}, "config field true_rank must be in [1, 4], got 5"),
             ({"true_rank": 0}, "config field true_rank must be in [1, 4], got 0"),
             ({"start_ranks": []}, "config field start_ranks must be nonempty"),
+            (
+                {"start_ranks": [1, 1]},
+                "config field start_ranks must not repeat an entry, got [1, 1]",
+            ),
             ({"solver": {"max_iter": -5}}, "config field solver.max_iter must be >= 0, got -5"),
             ({"solver": {"tol": math.nan}}, "config field solver.tol must be finite and >= 0"),
         ],
-        ids=["fit", "true-rank-high", "true-rank-zero", "start-ranks-empty", "max-iter", "tol"],
+        ids=[
+            "fit", "true-rank-high", "true-rank-zero", "start-ranks-empty",
+            "start-ranks-repeated", "max-iter", "tol",
+        ],
     )
     def test_rejects_bad_inputs_before_any_truth(
         self, small_descriptor, monkeypatch, override, message
@@ -439,6 +472,20 @@ class TestValidateCommand:
 
 
 class TestCli:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_one_command_parser_reads_as_the_full_parser(self, command, capsys):
+        # main builds only the named command's parser: its help, its errors and
+        # its parsed arguments must be the full parser's
+        for argv in ([command, "-h"], [command], [command, "--config", "c", "--extra"]):
+            outputs = []
+            for parser in (build_parser(), build_parser(command)):
+                with pytest.raises(SystemExit) as excinfo:
+                    parser.parse_args(argv)
+                outputs.append((excinfo.value.code, capsys.readouterr()))
+            assert outputs[0] == outputs[1]
+        argv = [command] + [arg for flag, _ in COMMANDS[command][2] for arg in (flag, "1")]
+        assert vars(build_parser().parse_args(argv)) == vars(build_parser(command).parse_args(argv))
+
     def test_generate_reconstruct_validate_pipeline(self, tmp_path, capsys):
         config = {
             "operator": standard_homodyne_descriptor(dim=4, n_angles=5, n_bins=12, half_width=6.0),
@@ -829,6 +876,11 @@ class TestCli:
             ),
             (
                 "generate",
+                {"ensemble": {"dim": 2, "ranks": [1, 1]}},
+                "config field ensemble.ranks must not repeat an entry, got [1, 1]",
+            ),
+            (
+                "generate",
                 {"ensemble": {"dim": 2}},
                 "config field ensemble.ranks must be a JSON list, got None",
             ),
@@ -849,7 +901,8 @@ class TestCli:
         ],
         ids=[
             "rank-trap-count", "rank-trap-start-rank", "rank-trap-operator",
-            "generate-ranks-high", "generate-ranks-empty", "generate-ranks-missing",
+            "generate-ranks-high", "generate-ranks-empty", "generate-ranks-repeated",
+            "generate-ranks-missing",
             "generate-count-per-rank", "generate-noise-scale", "generate-operator",
             "validate-operator", "validate-fit", "reconstruct-data-truth",
         ],

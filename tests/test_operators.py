@@ -373,3 +373,25 @@ class TestDescriptors:
         values[index] = value
         with pytest.raises(ValueError, match=f"config field operator.{field} must be a number"):
             operator_from_descriptor({**small_descriptor, field: values})
+
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            (
+                {"kind": "pauli6", "dim": 7},
+                "config field operator.dim is unknown; operator takes ('kind',)",
+            ),
+            (
+                {**standard_homodyne_descriptor(dim=4), "quad_ordr": 3},
+                "config field operator.quad_ordr is unknown; operator takes "
+                "('kind', 'dim', 'angles', 'bin_edges', 'quad_order')",
+            ),
+        ],
+        ids=["pauli6", "homodyne"],
+    )
+    def test_rejects_unknown_keys(self, descriptor, message):
+        # the pauli6 dim used to be ignored for a dim-2 operator, and the
+        # mistyped quad_ordr left quad_order at 20
+        with pytest.raises(ValueError) as excinfo:
+            operator_from_descriptor(descriptor)
+        assert str(excinfo.value) == message

@@ -530,9 +530,12 @@ class TestScaledFactorized:
         assert cert.verdict == verdict
         if verdict == SPURIOUS:
             assert cert.min_eig_Q_restricted < -PSD_TOL
+        # the trace keeps the certificate that stopped the solve, bit for bit
+        assert trace.certificate == cert
         n = trace.iterations
         state, retrace = fgd_solve(state0, obj, max_iter=n - 1, tol=0.0, precondition=True)
         assert (retrace.stop_reason, retrace.iterations) == (MAX_ITER, n - 1)
+        assert retrace.certificate is None
         assert retrace.objective_values == trace.objective_values[:n]
         cert = validity_certificate(state.density(), obj)
         assert cert.verdict != VALID
