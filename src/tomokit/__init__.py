@@ -33,7 +33,6 @@ from .operators import (
     MeasurementOperator,
     RankDeficiencyError,
     homodyne_operator,
-    operator_from_descriptor,
     pauli_six_state,
 )
 from .solvers import (

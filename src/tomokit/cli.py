@@ -111,7 +111,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # A RuntimeError is a run that cannot go on (json.JSONDecodeError is a ValueError).
+    except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

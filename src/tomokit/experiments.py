@@ -1,7 +1,8 @@
 """Experiment orchestration: synthetic datasets, reconstruction runs, summaries.
 
 Every random draw is derived from (master seed, instance key), so datasets
-and run tables are reproducible.
+and run tables are reproducible. Every config field, the operator descriptor
+included, is read and checked here, and each error names its field.
 """
 
 from __future__ import annotations
@@ -24,20 +25,15 @@ from .diagnostics import (
 )
 from .hermitian import (
     DensityLike,
-    _json_object,
-    _json_of,
+    _json_floats,
+    _json_number,
     load_matrix,
     random_density,
     save_matrix,
     trace_norm,
 )
 from .objectives import NEG_LOG_LIKELIHOOD, OBJECTIVE_KINDS, Objective
-from .operators import (
-    MeasurementData,
-    MeasurementOperator,
-    _config_number,
-    operator_from_descriptor,
-)
+from .operators import MeasurementData, MeasurementOperator, homodyne_operator, pauli_six_state
 from .solvers import (
     FactorState,
     SolverTrace,
@@ -136,6 +132,83 @@ def standard_homodyne_descriptor(
     }
 
 
+# --- config fields ---------------------------------------------------------------
+
+def _json_of(value, name: str, kind: type):
+    """The config field `name`, which must be a JSON `kind`: dict, list (or tuple), bool or str."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        noun = {dict: "object", list: "list", bool: "boolean", str: "string"}[kind]
+        raise ValueError(f"config field {name} must be a JSON {noun}, got {value!r}")
+    return value
+
+
+def _json_object(value, name: str, known: tuple) -> dict:
+    """A nested config block, which must be a JSON object whose keys are all in `known`,
+    so that a mistyped key fails instead of leaving its setting at the default."""
+    for key in _json_of(value, name, dict):
+        if key not in known:
+            raise ValueError(f"config field {name}.{key} is unknown; {name} takes {known}")
+    return value
+
+
+def _config_number(value, name: str, kind=float):
+    """A number config field: _json_number, with the config field's name in its error."""
+    return _json_number(value, f"config field {name}", kind)
+
+
+def _in_range(value, name: str, low, high=math.inf):
+    """The number `value` of the config field `name`, which must lie in [low, high]."""
+    if not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"config field {name} must be {bound}, got {value}")
+    return value
+
+
+def _rank_list(ranks: list, name: str, dim: int) -> list:
+    """The config field `name`: a nonempty list of distinct ranks in [1, dim]."""
+    if not ranks:
+        raise ValueError(f"config field {name} must be nonempty")
+    for r in ranks:
+        _in_range(r, name, 1, dim)
+    if len(set(ranks)) < len(ranks):
+        raise ValueError(f"config field {name} must not repeat an entry, got {ranks}")
+    return ranks
+
+
+def _fit(config: dict) -> str:
+    """The top-level `fit` field of a rank-trap or validate config: nll or l2 (nll)."""
+    fit = config.get("fit", NEG_LOG_LIKELIHOOD)
+    if fit not in OBJECTIVE_KINDS:
+        raise ValueError(f"config field fit must be nll or l2, got {fit!r}")
+    return fit
+
+
+def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
+    """Build an operator from its JSON descriptor, the config field `operator`: `kind`
+    (str) pauli6, which takes no other key, or homodyne, which takes `dim` (int),
+    `angles` and `bin_edges` (lists of numbers) and `quad_order` (int, default 20);
+    see homodyne_operator. Any other key is an error, so a mistyped one cannot
+    fall back to a default."""
+    kind = _json_of(descriptor, "operator", dict).get("kind")
+    if kind == "pauli6":
+        _json_object(descriptor, "operator", ("kind",))
+        return pauli_six_state()
+    if kind == "homodyne":
+        _json_object(descriptor, "operator", ("kind", "dim", "angles", "bin_edges", "quad_order"))
+        try:
+            return homodyne_operator(
+                _config_number(descriptor["dim"], "operator.dim", int),
+                _json_floats(descriptor["angles"], "config field operator.angles"),
+                _json_floats(descriptor["bin_edges"], "config field operator.bin_edges"),
+                _config_number(descriptor.get("quad_order", 20), "operator.quad_order", int),
+            )
+        except KeyError as exc:
+            raise ValueError(f"homodyne descriptor missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed homodyne descriptor: {exc}") from exc
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
 # --- experiment spec ----------------------------------------------------------
 
 @dataclass
@@ -157,6 +230,7 @@ class ExperimentSpec:
         if not self.noise_scale > 0:
             raise ValueError(f"config field noise.scale must be positive, got {self.noise_scale}")
         _rank_list(self.ranks, "ensemble.ranks", self.dim)
+        _in_range(self.seed, "seed", 0)
 
     def config_dict(self) -> dict:
         return {
@@ -170,25 +244,6 @@ class ExperimentSpec:
             "solvers": self.solvers,
             "seed": self.seed,
         }
-
-
-def _in_range(value, name: str, low, high=math.inf):
-    """The number `value` of the config field `name`, which must lie in [low, high]."""
-    if not low <= value <= high:
-        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-        raise ValueError(f"config field {name} must be {bound}, got {value}")
-    return value
-
-
-def _rank_list(ranks: list, name: str, dim: int) -> list:
-    """The config field `name`: a nonempty list of distinct ranks in [1, dim]."""
-    if not ranks:
-        raise ValueError(f"config field {name} must be nonempty")
-    for r in ranks:
-        _in_range(r, name, 1, dim)
-    if len(set(ranks)) < len(ranks):
-        raise ValueError(f"config field {name} must not repeat an entry, got {ranks}")
-    return ranks
 
 
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
@@ -344,8 +399,8 @@ def _solver_entry(cfg, name: str, dim: int) -> dict:
     """A `solvers` entry, checked in full, with its defaults filled in and with `id`, the
     label of its records: `solver` gm, fgd or mle (gm), `fit` nll or l2 (nll; mle takes
     nll only), `tol` (1e-10), `max_iter` (20000), `rank` in [1, dim] (absent or null:
-    full), `seed` (0) and `data` exact or noisy (absent: noisy if the instance has noisy
-    data, else exact). Any other key is a ValueError."""
+    full), `seed` >= 0 (0) and `data` exact or noisy (absent: noisy if the instance
+    has noisy data, else exact). Any other key is a ValueError."""
     cfg = _json_object(cfg, name, ("solver", "fit", "tol", "max_iter", "rank", "seed", "data"))
     solver, fit = cfg.get("solver", "gm"), cfg.get("fit", NEG_LOG_LIKELIHOOD)
     if solver not in ("gm", "fgd", "mle"):
@@ -359,9 +414,10 @@ def _solver_entry(cfg, name: str, dim: int) -> dict:
     data = _json_of(cfg["data"], f"{name}.data", str) if "data" in cfg else None
     if data not in (None, "exact", "noisy"):
         raise ValueError(f"config field {name}.data must be exact or noisy, got {data!r}")
+    seed = _in_range(_config_number(cfg.get("seed", 0), f"{name}.seed", int), f"{name}.seed", 0)
     label = f"{solver}-{fit}-{'full' if rank is None else f'r{rank}'}"
     return dict(id=label, solver=solver, fit=fit, tol=tol, max_iter=max_iter, rank=rank,
-                seed=_config_number(cfg.get("seed", 0), f"{name}.seed", int), data=data)
+                seed=seed, data=data)
 
 
 def run_solver_config(
@@ -514,8 +570,8 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     certificate's own tolerance (plain FGD at tol 1e-12: about 6e-10).
     The config fields are checked before any truth is drawn: `fit` nll or l2
     (nll), `true_rank` in [1, N] (5), `count` >= 1 (10), a nonempty
-    `start_ranks` of distinct ranks in [1, N] (1..N) and the `solver` block's
-    `tol` (1e-12) and `max_iter` (20000).
+    `start_ranks` of distinct ranks in [1, N] (1..N), `seed` >= 0 (0) and the
+    `solver` block's `tol` (1e-12) and `max_iter` (20000).
     Returns the run records plus a per-start-rank summary with median trace
     distance, median kernel-restricted minimum eigenvalue, spurious fraction
     and median iteration count.
@@ -529,7 +585,7 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
                              "start_ranks", N)
     solver_cfg = _json_object(config.get("solver", {}), "solver", ("tol", "max_iter"))
     tol, max_iter = _stop_rule(solver_cfg, "solver", 1e-12)
-    seed = _config_number(config.get("seed", 0), "seed", int)
+    seed = _in_range(_config_number(config.get("seed", 0), "seed", int), "seed", 0)
     fit = _fit(config)
     _in_range(true_rank, "true_rank", 1, N)
 
@@ -575,14 +631,6 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
 
 
 # --- validation ------------------------------------------------------------------
-
-def _fit(config: dict) -> str:
-    """The top-level `fit` field of a rank-trap or validate config: nll or l2 (nll)."""
-    fit = config.get("fit", NEG_LOG_LIKELIHOOD)
-    if fit not in OBJECTIVE_KINDS:
-        raise ValueError(f"config field fit must be nll or l2, got {fit!r}")
-    return fit
-
 
 def validate_state(state_path, config: dict, data_path) -> tuple[ValidityCertificate, int]:
     """Certificate plus machine exit code (0 valid / 2 spurious / 3 not fixed point).

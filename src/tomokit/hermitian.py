@@ -1,5 +1,5 @@
 """Dense complex Hermitian matrices and unit-trace density matrices for small
-dimensions (N <~ 100).
+dimensions (N <~ 100), with the JSON file format of a matrix.
 
 Everything here is a pure function over immutable values; instances are
 safe to share between threads.
@@ -144,23 +144,6 @@ def _json_number(value, name: str, kind=float):
     if kind is int and number != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return number
-
-
-def _json_of(value, name: str, kind: type):
-    """The config field `name`, which must be a JSON `kind`: dict, list (or tuple), bool or str."""
-    if not isinstance(value, (list, tuple) if kind is list else kind):
-        noun = {dict: "object", list: "list", bool: "boolean", str: "string"}[kind]
-        raise ValueError(f"config field {name} must be a JSON {noun}, got {value!r}")
-    return value
-
-
-def _json_object(value, name: str, known: tuple) -> dict:
-    """A nested config block, which must be a JSON object whose keys are all in `known`,
-    so that a mistyped key fails instead of leaving its setting at the default."""
-    for key in _json_of(value, name, dict):
-        if key not in known:
-            raise ValueError(f"config field {name}.{key} is unknown; {name} takes {known}")
-    return value
 
 
 def _json_floats(value, name: str) -> np.ndarray:

@@ -5,6 +5,7 @@ tr(rho E[m, k]) over M settings and K outcomes per setting. It stores only
 one real (M*K, N*N) design matrix, whose rows are the effects' coordinates on
 an orthonormal basis of Herm(N); apply, adjoint and the least-squares preimage
 are products with it. The homodyne operator writes it without an effect array.
+Nothing here reads a config: experiments.operator_from_descriptor reads a descriptor.
 """
 
 from __future__ import annotations
@@ -13,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (
-    HERMITIAN_ATOL,
-    HermitianMatrix,
-    _json_floats,
-    _json_number,
-    _json_object,
-    _json_of,
-    entries_of,
-)
+from .hermitian import HERMITIAN_ATOL, HermitianMatrix, entries_of
 
 DATA_NEG_TOL = 1e-12
 
@@ -242,33 +235,3 @@ def homodyne_operator(
     operator._set_design(angles.size, K, N, blocks)
     return operator
 
-
-# --- descriptors -------------------------------------------------------------
-
-def _config_number(value, name: str, kind=float):
-    """A number config field: _json_number, with the config field's name in its error."""
-    return _json_number(value, f"config field {name}", kind)
-
-
-def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
-    """Build an operator from its JSON descriptor (kinds: pauli6, homodyne). A key
-    that the kind does not take is an error, so a mistyped one cannot fall back
-    to a default."""
-    kind = _json_of(descriptor, "operator", dict).get("kind")
-    if kind == "pauli6":
-        _json_object(descriptor, "operator", ("kind",))
-        return pauli_six_state()
-    if kind == "homodyne":
-        _json_object(descriptor, "operator", ("kind", "dim", "angles", "bin_edges", "quad_order"))
-        try:
-            return homodyne_operator(
-                _config_number(descriptor["dim"], "operator.dim", int),
-                _json_floats(descriptor["angles"], "config field operator.angles"),
-                _json_floats(descriptor["bin_edges"], "config field operator.bin_edges"),
-                _config_number(descriptor.get("quad_order", 20), "operator.quad_order", int),
-            )
-        except KeyError as exc:
-            raise ValueError(f"homodyne descriptor missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed homodyne descriptor: {exc}") from exc
-    raise ValueError(f"unknown operator kind {kind!r}")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tomokit import DensityLike, random_density
-from tomokit.experiments import standard_homodyne_descriptor
-from tomokit.operators import _hermite_rows, operator_from_descriptor, pauli_six_state
+from tomokit.experiments import operator_from_descriptor, standard_homodyne_descriptor
+from tomokit.operators import _hermite_rows, pauli_six_state
 
 
 @pytest.fixture(scope="session")

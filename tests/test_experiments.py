@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -898,6 +902,13 @@ class TestCli:
                 {"solvers": [{"solver": "gm"}, {"solver": "gm", "data": "truth"}]},
                 "config field solvers[1].data must be exact or noisy, got 'truth'",
             ),
+            ("rank-trap", {"seed": -1}, "config field seed must be >= 0, got -1"),
+            ("generate", {"seed": -1}, "config field seed must be >= 0, got -1"),
+            (
+                "reconstruct",
+                {"solvers": [{"solver": "gm", "seed": -1}]},
+                "config field solvers[0].seed must be >= 0, got -1",
+            ),
         ],
         ids=[
             "rank-trap-count", "rank-trap-start-rank", "rank-trap-operator",
@@ -905,6 +916,7 @@ class TestCli:
             "generate-ranks-missing",
             "generate-count-per-rank", "generate-noise-scale", "generate-operator",
             "validate-operator", "validate-fit", "reconstruct-data-truth",
+            "rank-trap-seed", "generate-seed", "reconstruct-solver-seed",
         ],
     )
     def test_config_errors_name_their_field(
@@ -915,7 +927,8 @@ class TestCli:
         # "count_per_rank must be ...", "noise scale must be ...", "'operator'" and
         # "unknown objective kind 'l3'" (after the state file was read); a "truth"
         # data variant passed the entry check and stopped inside reconstruct
-        # after the first solve
+        # after the first solve; a negative seed failed inside numpy, after generate
+        # had made its first instance directory, or passed in a full-rank entry
         calls = count_calls(
             monkeypatch, "load_matrix", "gm_solve", "fgd_solve", "mle_solve", "pgd_solve"
         )
@@ -945,6 +958,30 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_runtime_error_is_reported_without_traceback(self, tmp_path, capsys):
+        # a noise scale this small draws zero counts in every retry; the
+        # RuntimeError used to escape main as a traceback
+        cfg = tmp_path / "gen.json"
+        spec = {
+            "operator": {"kind": "pauli6"},
+            "ensemble": {"dim": 2, "ranks": [1]},
+            "noise": {"scale": 1e-12},
+        }
+        cfg.write_text(json.dumps(spec))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error: a measurement row kept drawing zero total counts" in err
+        assert "Traceback" not in err
+
+    def test_package_import_leaves_experiments_unloaded(self):
+        # the package exports no config reader, so only the commands load experiments
+        src = str(Path(experiments.__file__).parents[1])
+        code = "import sys, tomokit; print('tomokit.experiments' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_generate_checks_dim_before_writing(self, tmp_path, capsys):
         # a dim that the operator does not have used to leave a truth.json behind

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tomokit.experiments import standard_homodyne_descriptor
+from tomokit.experiments import operator_from_descriptor, standard_homodyne_descriptor
 from tomokit.hermitian import HERMITIAN_ATOL, DensityLike, random_density, random_hermitian
 from tomokit.operators import (
     MeasurementData,
@@ -9,7 +9,6 @@ from tomokit.operators import (
     RankDeficiencyError,
     _hermite_rows,
     homodyne_operator,
-    operator_from_descriptor,
     pauli_six_state,
 )
 
