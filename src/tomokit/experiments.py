@@ -289,37 +289,40 @@ def generate_dataset(spec: ExperimentSpec) -> dict:
     if operator.dim != spec.dim:
         raise ValueError(f"ensemble.dim {spec.dim} does not match operator dim {operator.dim}")
 
-    instances = []
+    # Every truth and data array is drawn before anything is written, so a draw
+    # that fails leaves no partial dataset.
+    instances, arrays = [], []
     for rank in spec.ranks:
         for idx in range(spec.count_per_rank):
-            iid = f"r{rank:02d}_i{idx:03d}"
-            inst_dir = out / "instances" / iid
-            inst_dir.mkdir(parents=True, exist_ok=True)
             truth_seed = derive_seed(spec.seed, rank, idx, 0)
             noise_seed = derive_seed(spec.seed, rank, idx, 1)
             truth = random_density(spec.dim, rank, truth_seed)
-            save_matrix(inst_dir / "truth.json", truth)
-            exact = simulate_data(operator, truth, spec.noise_scale, 0, noisy=False)
-            exact.save_csv(inst_dir / "exact.csv")
-            files = {"truth": "truth.json", "exact": "exact.csv"}
+            data = {"exact": simulate_data(operator, truth, spec.noise_scale, 0, noisy=False)}
             if spec.noise_enabled:
-                noisy = simulate_data(operator, truth, spec.noise_scale, noise_seed, noisy=True)
-                noisy.save_csv(inst_dir / "noisy.csv")
-                files["noisy"] = "noisy.csv"
+                data["noisy"] = simulate_data(
+                    operator, truth, spec.noise_scale, noise_seed, noisy=True
+                )
             instances.append({
-                "id": iid,
+                "id": f"r{rank:02d}_i{idx:03d}",
                 "rank": rank,
                 "index": idx,
                 "truth_seed": truth_seed,
                 "noise_seed": noise_seed if spec.noise_enabled else None,
-                "files": {
-                    name: {
-                        "path": f"instances/{iid}/{fname}",
-                        "sha256": _sha256(inst_dir / fname),
-                    }
-                    for name, fname in files.items()
-                },
             })
+            arrays.append((truth, data))
+
+    for inst, (truth, data) in zip(instances, arrays):
+        inst_dir = out / "instances" / inst["id"]
+        inst_dir.mkdir(parents=True, exist_ok=True)
+        save_matrix(inst_dir / "truth.json", truth)
+        files = {"truth": "truth.json"}
+        for variant, values in data.items():
+            values.save_csv(inst_dir / f"{variant}.csv")
+            files[variant] = f"{variant}.csv"
+        inst["files"] = {
+            name: {"path": f"instances/{inst['id']}/{fname}", "sha256": _sha256(inst_dir / fname)}
+            for name, fname in files.items()
+        }
 
     manifest = {"config": spec.config_dict(), "instances": instances}
     _write_json(out / "manifest.json", manifest)
@@ -494,8 +497,11 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     """
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
-    operator = operator_from_descriptor(manifest["config"].get("operator"))
-    solver_cfgs = run_config.get("solvers") or manifest["config"].get("solvers") or []
+    manifest = _json_of(manifest, "manifest", dict)
+    dataset_cfg = _json_of(manifest.get("config"), "manifest.config", dict)
+    instances = _json_of(manifest.get("instances"), "manifest.instances", list)
+    operator = operator_from_descriptor(dataset_cfg.get("operator"))
+    solver_cfgs = run_config.get("solvers") or dataset_cfg.get("solvers") or []
     if not solver_cfgs:
         raise ValueError("no solver configurations given")
     solver_cfgs = [
@@ -504,13 +510,16 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     ]
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle", ("tol", "max_iter"))
     oracle_tol, oracle_max_iter = _stop_rule(oracle_cfg, "oracle", 1e-10)
-    for inst in manifest["instances"]:
+    for i, inst in enumerate(instances):
+        name = f"manifest.instances[{i}]"
+        files = _json_of(inst, name, dict).get("files")
+        _json_object(files, f"{name}.files", ("truth", "exact", "noisy"))
         for cfg in solver_cfgs:
-            if cfg["data"] not in (None, *inst["files"]):
+            if cfg["data"] not in (None, *files):
                 raise ValueError(f"instance {inst['id']} has no {cfg['data']!r} data")
 
     records = []
-    for index, entry in enumerate(manifest["instances"]):
+    for index, entry in enumerate(instances):
         truth = DensityLike(load_matrix(dataset / entry["files"]["truth"]["path"]))
         truth_desc = {"rank": entry["rank"], "seed": entry["truth_seed"]}
         data_cache: dict[str, MeasurementData] = {}

@@ -212,13 +212,16 @@ def homodyne_operator(
     edges = np.asarray(bin_edges, dtype=float)
     if not np.isfinite(edges).all():
         raise ValueError("bin_edges must be finite")
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+    if edges.ndim != 1 or edges.size < 2 or not np.all(edges[1:] > edges[:-1]):
         raise ValueError("bin_edges must be strictly increasing with at least two entries")
+    with np.errstate(over="ignore"):
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+    if not (np.isfinite(half).all() and np.isfinite(mid).all()):
+        raise ValueError("bin_edges must give bin widths and midpoints finite in float64")
 
     nodes, weights = np.polynomial.legendre.leggauss(quad_order)
     K = edges.size - 1
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
     # One recurrence over all K * quad_order nodes, then one Gram matrix per bin.
     x = mid[:, None] + half[:, None] * nodes
     rows = _hermite_rows(N, x.ravel()).reshape(N, K, quad_order)

@@ -75,7 +75,6 @@ class SolverTrace:
     stop_reason: str = MAX_ITER
     trials: int = 0
     restarts: int = 0
-    iterates_kept: list | None = None
     certificate: ValidityCertificate | None = None
 
     @property
@@ -100,10 +99,6 @@ class FactorState:
             raise ValueError(f"||X||_F^2 = {norm_sq!r} deviates from 1")
         arr.setflags(write=False)
         object.__setattr__(self, "X", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[0]
 
     @property
     def rank(self) -> int:
@@ -356,38 +351,20 @@ def gm_solve(
     policy: StepPolicy | None = None,
     max_iter: int = 20000,
     tol: float = 1e-10,
-    keep_trace: bool = False,
 ) -> tuple[DensityLike, SolverTrace]:
     """Gradient-multiplication solve with shrink-only step control.
 
-    It runs as plain fgd_solve from FactorState.from_density(rho0, N); gm_step
-    is the full-matrix reference. Kept iterates and the result are densities.
-    Objective values along the trace are non-increasing (within a 1e-12
-    slack). The solve stops once the trace norm of the last step is below
-    tol; `trace.residuals` records each step's Frobenius norm, which bounds
-    it from below. A small step certifies a fixed point, not a solution:
-    run the validity certificate on the result to tell the two apart.
-    tol must be finite and >= 0 and max_iter >= 0, else ValueError.
+    It is fgd_solve at r = N, from FactorState.from_density(rho0, N), and
+    returns the density of its final factor; gm_step is the full-matrix
+    reference. Objective values along the trace are non-increasing (within a
+    1e-12 slack). The solve stops once the trace norm of the last step is
+    below tol; `trace.residuals` records each step's Frobenius norm, which
+    bounds it from below. A small step certifies a fixed point, not a
+    solution: run the validity certificate on the result to tell the two
+    apart. tol must be finite and >= 0 and max_iter >= 0, else ValueError.
     """
-    policy = policy or StepPolicy()
-    kept = []
-
-    def keeping_prepare(X, X_prev, g):
-        kept.append(X)  # called for the start and once per accepted state
-        return _fgd_prepare(X, X_prev, g)
-
-    final, trace = _line_searched_solve(
-        FactorState.from_density(rho0, rho0.dim).X,
-        obj,
-        policy,
-        max_iter,
-        tol,
-        density_of=_outer,
-        prepare=keeping_prepare if keep_trace else _fgd_prepare,
-    )
-    if keep_trace:
-        trace.iterates_kept = [DensityLike.from_array(_outer(X)) for X in kept]
-    return DensityLike.from_array(_outer(final)), trace
+    final, trace = fgd_solve(FactorState.from_density(rho0, rho0.dim), obj, policy, max_iter, tol)
+    return final.density(), trace
 
 
 def fgd_solve(

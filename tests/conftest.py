@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from tomokit import DensityLike, random_density
+from tomokit import DensityLike, random_density, solvers
 from tomokit.experiments import operator_from_descriptor, standard_homodyne_descriptor
 from tomokit.operators import _hermite_rows, pauli_six_state
 
@@ -75,6 +77,25 @@ def conditioned_full_rank(N: int, seed: int, mix: float = 0.3) -> DensityLike:
     """Random full-rank state kept away from the PSD boundary."""
     raw = random_density(N, N, seed).entries
     return DensityLike.from_array((1.0 - mix) * raw + mix * np.eye(N) / N)
+
+
+@contextlib.contextmanager
+def kept_iterates():
+    """Yield a list that collects, as densities, every state at which the plain
+    factorized step is prepared while the block runs: the start and each accepted
+    iterate of a plain fgd_solve, and so of gm_solve."""
+    kept = []
+    prepare = solvers._fgd_prepare
+
+    def keeping_prepare(X, X_prev, g):
+        kept.append(DensityLike.from_array(solvers._outer(X)))
+        return prepare(X, X_prev, g)
+
+    solvers._fgd_prepare = keeping_prepare
+    try:
+        yield kept
+    finally:
+        solvers._fgd_prepare = prepare
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

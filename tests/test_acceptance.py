@@ -35,7 +35,7 @@ from tomokit.solvers import (
     pgd_solve,
 )
 
-from conftest import conditioned_full_rank, maximally_mixed
+from conftest import conditioned_full_rank, kept_iterates, maximally_mixed
 
 GM_TRACES = []
 
@@ -113,13 +113,14 @@ def test_criterion_03_factorized_equivalence(homodyne10):
             data = simulate_data(homodyne10, truth, 500.0, 900 + i, noisy=True)
         obj = Objective(homodyne10, data, kind="nll")
 
-        _, trace = run_gm(rho0, obj, max_iter=100, tol=0.0, keep_trace=True)
+        with kept_iterates() as kept:
+            _, trace = run_gm(rho0, obj, max_iter=100, tol=0.0)
         assert len(trace.eps_values) == 100
         state = FactorState.from_density(rho0, 10)
         for k, eps in enumerate(trace.eps_values):
             state = fgd_step(state, obj, eps)
             outer = state.X @ state.X.conj().T
-            assert np.linalg.norm(outer - trace.iterates_kept[k + 1].entries) < 1e-8
+            assert np.linalg.norm(outer - kept[k + 1].entries) < 1e-8
     assert time.perf_counter() - start < 60.0
 
 

@@ -961,7 +961,8 @@ class TestCli:
 
     def test_runtime_error_is_reported_without_traceback(self, tmp_path, capsys):
         # a noise scale this small draws zero counts in every retry; the
-        # RuntimeError used to escape main as a traceback
+        # RuntimeError used to escape main as a traceback, and the first
+        # instance's truth.json and exact.csv used to be written before it
         cfg = tmp_path / "gen.json"
         spec = {
             "operator": {"kind": "pauli6"},
@@ -973,6 +974,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: a measurement row kept drawing zero total counts" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out" / "instances").exists()
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (
+                {"config": []},
+                "config field manifest.config must be a JSON object, got []",
+            ),
+            (
+                {"instances": {"a": 1}},
+                "config field manifest.instances must be a JSON list, got {'a': 1}",
+            ),
+            (
+                {"instances": [{"id": "r01_i000", "files": ["truth.json"]}]},
+                "config field manifest.instances[0].files must be a JSON object",
+            ),
+        ],
+        ids=["config", "instances", "files"],
+    )
+    def test_reconstruct_checks_the_manifest(
+        self, override, message, tmp_path, capsys, monkeypatch
+    ):
+        # the first two used to end in an AttributeError and a TypeError traceback
+        solves = count_calls(monkeypatch, "gm_solve", "pgd_solve")
+        spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1]}}
+        generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+        path = tmp_path / "data" / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **override}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solvers": [{"solver": "gm"}]}))
+        argv = ["reconstruct", "--config", str(cfg), "--dataset", str(tmp_path / "data")]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert solves == []
 
     def test_package_import_leaves_experiments_unloaded(self):
         # the package exports no config reader, so only the commands load experiments
@@ -1069,6 +1107,25 @@ class TestCli:
         assert main(["rank-trap", "--config", str(cfg), "--out", str(out_dir)]) == 0
         assert (out_dir / "summary.csv").exists()
         assert "start_rank" in capsys.readouterr().out
+
+    def test_rank_trap_seed_option_overrides_the_config_seed(self, small_descriptor, tmp_path):
+        config = {
+            "operator": small_descriptor,
+            "true_rank": 2,
+            "count": 1,
+            "start_ranks": [1, 2],
+            "solver": {"tol": 1e-10, "max_iter": 3000},
+        }
+        runs = {}
+        for name, seed, argv in [("option", 0, ["--seed", "5"]), ("config", 5, [])]:
+            cfg, out = tmp_path / f"{name}.json", tmp_path / name
+            cfg.write_text(json.dumps({**config, "seed": seed}))
+            assert main(["rank-trap", "--config", str(cfg), "--out", str(out)] + argv) == 0
+            runs[name] = json.loads((out / "records.json").read_text())
+            for record in runs[name]["records"]:
+                record.pop("wall_time")
+        assert runs["option"]["config"]["seed"] == 5
+        assert runs["option"] == runs["config"]
 
     def test_one_outcome_pipeline(self, tmp_path, capsys):
         # A one-bin dataset used to read its (3, 1) data back as (1, 3) and stop reconstruct.

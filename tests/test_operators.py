@@ -373,6 +373,15 @@ class TestDescriptors:
         with pytest.raises(ValueError, match=f"config field operator.{field} must be a number"):
             operator_from_descriptor({**small_descriptor, field: values})
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edges", [[-1e308, 1e308], [1e308, 1.7e308]])
+    def test_rejects_bin_edges_whose_widths_or_midpoints_overflow(self, edges):
+        # numpy warned of overflow in subtract or add, and of an invalid multiply,
+        # before the design check rejected the non-finite effects
+        descriptor = {"kind": "homodyne", "dim": 2, "angles": [0.0], "bin_edges": edges}
+        with pytest.raises(ValueError, match="bin_edges must give bin widths and midpoints"):
+            operator_from_descriptor(descriptor)
+
     @pytest.mark.parametrize(
         "descriptor, message",
         [

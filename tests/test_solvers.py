@@ -38,7 +38,7 @@ from tomokit.solvers import (
     _scaled_fgd_prepare,
 )
 
-from conftest import conditioned_full_rank, maximally_mixed
+from conftest import conditioned_full_rank, kept_iterates, maximally_mixed
 
 
 def halvings(trace, eps0):
@@ -202,11 +202,9 @@ class TestGmSolve:
         truth = random_density(10, 5, 13)
         obj = Objective(homodyne10, homodyne10.apply(truth), kind="nll")
         start = random_density(10, 3, 14)
-        _, trace = gm_solve(start, obj, max_iter=200, tol=0.0, keep_trace=True)
-        ranks = [
-            int((np.linalg.eigvalsh(state.entries) > 1e-10).sum())
-            for state in trace.iterates_kept
-        ]
+        with kept_iterates() as kept:
+            gm_solve(start, obj, max_iter=200, tol=0.0)
+        ranks = [int((np.linalg.eigvalsh(state.entries) > 1e-10).sum()) for state in kept]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
     def test_descent_step_exists_for_non_fixed_points(self, t2, homodyne10):
@@ -268,8 +266,9 @@ class TestStopRule:
     def solve(self, homodyne_small, tol):
         truth = random_density(4, 4, 41)
         obj = Objective(homodyne_small, homodyne_small.apply(truth), kind="nll")
-        _, trace = gm_solve(maximally_mixed(4), obj, max_iter=5000, tol=tol, keep_trace=True)
-        kept = [state.entries for state in trace.iterates_kept]
+        with kept_iterates() as states:
+            _, trace = gm_solve(maximally_mixed(4), obj, max_iter=5000, tol=tol)
+        kept = [state.entries for state in states]
         steps = [b - a for a, b in zip(kept, kept[1:])]
         return trace, steps, [trace_norm(step) for step in steps]
 
@@ -436,9 +435,10 @@ class TestFullMatrixReference:
     def test_gm_solve_replays_through_gm_step(self, homodyne10, kind, variant, start):
         obj = self.objective(homodyne10, kind, variant)
         rho = self.start(start)
-        _, trace = gm_solve(rho, obj, max_iter=100, tol=0.0, keep_trace=True)
+        with kept_iterates() as states:
+            _, trace = gm_solve(rho, obj, max_iter=100, tol=0.0)
         assert len(trace.eps_values) == 100
-        for eps, kept in zip(trace.eps_values, trace.iterates_kept[1:]):
+        for eps, kept in zip(trace.eps_values, states[1:]):
             rho = gm_step(rho, obj.gradient(rho), eps)
             assert np.linalg.norm(rho.entries - kept.entries) < 1e-8
 
