@@ -449,9 +449,7 @@ def run_solver_config(
 
 
 def _run_record(
-    instance_id: str,
-    truth: DensityLike,
-    truth_desc: dict,
+    instance: tuple[str, DensityLike, dict],
     solver_id: str,
     variant: str,
     final: DensityLike,
@@ -460,10 +458,12 @@ def _run_record(
     wall: float,
     oracle_distance: float = math.nan,
 ) -> RunRecord:
-    """Record of one solve, with the certificate of its final state: the one its
-    certificate stop computed, if that stop ended it, else a new one. `final`
-    must be the state the solve returned with `trace` and `obj` the objective
-    it minimized, so that a kept certificate is that of `final` under `obj`."""
+    """Record of one solve on `instance`, an (id, truth, truth descriptor) triple,
+    with the certificate of its final state: the one its certificate stop computed,
+    if that stop ended it, else a new one. `final` must be the state the solve
+    returned with `trace` and `obj` the objective it minimized, so that a kept
+    certificate is that of `final` under `obj`."""
+    instance_id, truth, truth_desc = instance
     return RunRecord(
         instance_id=instance_id,
         truth=truth_desc,
@@ -472,16 +472,34 @@ def _run_record(
         trace_distance_to_truth=trace_norm(final.entries - truth.entries),
         trace_distance_to_oracle=oracle_distance,
         final_objective=obj.value(final),
-        certificate=(
-            trace.certificate
-            if trace.certificate is not None
-            else validity_certificate(final, obj)
-        ),
+        certificate=trace.certificate or validity_certificate(final, obj),
         iterations=trace.iterations,
         stop_reason=trace.stop_reason,
         floor_triggered=obj.floor_active(final),
         wall_time=wall,
     )
+
+
+def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list) -> tuple:
+    """The manifest instance `inst`, config field `name`, checked and read: its
+    (id, truth, truth descriptor) and the (variant, data) of each solver entry."""
+    files = _json_object(_json_of(inst, name, dict).get("files"), f"{name}.files",
+                         ("truth", "exact", "noisy"))
+    instance_id = _json_of(inst.get("id"), f"{name}.id", str)
+    if set(instance_id) & set(",\r\n"):
+        raise ValueError(f"config field {name}.id has a comma or line break: {instance_id!r}")
+    truth_desc = {"rank": _config_number(inst.get("rank"), f"{name}.rank", int),
+                  "seed": _config_number(inst.get("truth_seed"), f"{name}.truth_seed", int)}
+    variants = [cfg["data"] or ("noisy" if "noisy" in files else "exact") for cfg in solver_cfgs]
+    paths = {}
+    for key in ("truth", *variants):
+        if key not in files:
+            raise ValueError(f"instance {instance_id} has no {key!r} data ({name}.files.{key})")
+        path = _json_of(files[key], f"{name}.files.{key}", dict).get("path")
+        paths[key] = dataset / _json_of(path, f"{name}.files.{key}.path", str)
+    truth = DensityLike(load_matrix(paths.pop("truth")))
+    data = {key: MeasurementData.load_csv(path) for key, path in paths.items()}
+    return (instance_id, truth, truth_desc), [(v, data[v]) for v in variants]
 
 
 def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[RunRecord]:
@@ -492,8 +510,10 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     computed on the same data and fit. That oracle stops once the trace norm
     of its step falls below `tol` (default 1e-10), so `trace_distance_to_oracle`
     values near 1e-9 lie within its stop tolerance, not solver disagreement.
-    The solver entries, their data variants and the `oracle` block are checked
-    before any solve.
+    Before any solve, the solver entries and the `oracle` block are checked, and
+    every manifest instance is checked and read: `id` a string with no comma or
+    line break (a records.csv field), `rank` and `truth_seed` integers, and `files`
+    holding `truth` and each data variant the entries use, each with a string `path`.
     """
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
@@ -510,29 +530,14 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     ]
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle", ("tol", "max_iter"))
     oracle_tol, oracle_max_iter = _stop_rule(oracle_cfg, "oracle", 1e-10)
-    for i, inst in enumerate(instances):
-        name = f"manifest.instances[{i}]"
-        files = _json_of(inst, name, dict).get("files")
-        _json_object(files, f"{name}.files", ("truth", "exact", "noisy"))
-        for cfg in solver_cfgs:
-            if cfg["data"] not in (None, *files):
-                raise ValueError(f"instance {inst['id']} has no {cfg['data']!r} data")
+    instances = [_manifest_instance(dataset, inst, f"manifest.instances[{i}]", solver_cfgs)
+                 for i, inst in enumerate(instances)]
 
     records = []
-    for index, entry in enumerate(instances):
-        truth = DensityLike(load_matrix(dataset / entry["files"]["truth"]["path"]))
-        truth_desc = {"rank": entry["rank"], "seed": entry["truth_seed"]}
-        data_cache: dict[str, MeasurementData] = {}
+    mixed = DensityLike.from_array(np.eye(operator.dim, dtype=complex) / operator.dim)
+    for index, (instance, runs) in enumerate(instances):
         oracle_cache: dict[str, DensityLike] = {}
-        default = "noisy" if "noisy" in entry["files"] else "exact"
-        for cfg in solver_cfgs:
-            variant = default if cfg["data"] is None else cfg["data"]
-            if variant not in data_cache:
-                data_cache[variant] = MeasurementData.load_csv(
-                    dataset / entry["files"][variant]["path"]
-                )
-            data = data_cache[variant]
-
+        for cfg, (variant, data) in zip(solver_cfgs, runs):
             start = time.perf_counter()
             final, trace, obj = run_solver_config(cfg, operator, data, instance_seed=index)
             wall = time.perf_counter() - start
@@ -540,17 +545,13 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
             oracle_distance = math.nan
             if variant == "noisy":
                 if obj.kind not in oracle_cache:
-                    mixed = np.eye(operator.dim, dtype=complex) / operator.dim
                     oracle_cache[obj.kind] = pgd_solve(
-                        DensityLike.from_array(mixed), obj, max_iter=oracle_max_iter, tol=oracle_tol
+                        mixed, obj, max_iter=oracle_max_iter, tol=oracle_tol
                     )
                 oracle_distance = trace_norm(final.entries - oracle_cache[obj.kind].entries)
 
             records.append(
-                _run_record(
-                    entry["id"], truth, truth_desc, cfg["id"], variant,
-                    final, trace, obj, wall, oracle_distance,
-                )
+                _run_record(instance, cfg["id"], variant, final, trace, obj, wall, oracle_distance)
             )
 
     if out_dir is not None:
@@ -599,10 +600,10 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     _in_range(true_rank, "true_rank", 1, N)
 
     records = []
-    by_start_rank: dict[int, list[RunRecord]] = {r: [] for r in start_ranks}
     for t_idx in range(count):
         truth_seed = derive_seed(seed, true_rank, t_idx, 0)
         truth = random_density(N, true_rank, truth_seed)
+        instance = (f"t{t_idx:03d}", truth, {"rank": true_rank, "seed": truth_seed})
         data = simulate_data(operator, truth, 500.0, 0, noisy=False)
         obj = Objective(operator, data, kind=fit)
         for r in start_ranks:
@@ -611,16 +612,13 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
             start = time.perf_counter()
             state, trace = fgd_solve(state0, obj, max_iter=max_iter, tol=tol, precondition=True)
             wall = time.perf_counter() - start
-            record = _run_record(
-                f"t{t_idx:03d}", truth, {"rank": true_rank, "seed": truth_seed},
-                f"fgd-{fit}-r{r}", "exact", state.density(), trace, obj, wall,
+            records.append(
+                _run_record(instance, f"fgd-{fit}-r{r}", "exact", state.density(), trace, obj, wall)
             )
-            records.append(record)
-            by_start_rank[r].append(record)
 
     summary = []
     for r in start_ranks:
-        rows = by_start_rank[r]
+        rows = [rec for rec in records if rec.solver_id == f"fgd-{fit}-r{r}"]
         dists = [rec.trace_distance_to_truth for rec in rows]
         eigs = [rec.certificate.min_eig_Q_restricted for rec in rows]
         spurious = sum(rec.certificate.verdict == SPURIOUS for rec in rows)

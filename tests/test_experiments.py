@@ -1012,6 +1012,75 @@ class TestCli:
         assert "Traceback" not in err
         assert solves == []
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda inst: inst["files"].pop("truth"),
+                "instance r02_i000 has no 'truth' data (manifest.instances[1].files.truth)",
+            ),
+            (
+                lambda inst: inst.pop("id"),
+                "config field manifest.instances[1].id must be a JSON string, got None",
+            ),
+            (
+                lambda inst: inst.update(rank="2"),
+                "config field manifest.instances[1].rank must be a number, got '2'",
+            ),
+            (
+                lambda inst: inst["files"]["noisy"].update(path=5),
+                "config field manifest.instances[1].files.noisy.path must be a JSON string, got 5",
+            ),
+            (
+                lambda inst: inst.update(id="a,b"),
+                "config field manifest.instances[1].id has a comma or line break: 'a,b'",
+            ),
+            (
+                lambda inst: inst.update(id="a\nb"),
+                "config field manifest.instances[1].id has a comma or line break: 'a\\nb'",
+            ),
+        ],
+        ids=["no-truth", "no-id", "string-rank", "integer-path", "id-comma", "id-newline"],
+    )
+    def test_reconstruct_checks_every_instance_before_any_solve(
+        self, edit, message, tmp_path, capsys, monkeypatch
+    ):
+        # these used to end in "error: 'truth'" after the first instance's solves,
+        # "error: 'id'" after them, a string truth_rank in the records, a TypeError
+        # traceback and a records.csv row with its fields shifted by the comma
+        solves = count_calls(monkeypatch, "gm_solve", "pgd_solve")
+        spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1, 2]}}
+        generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["instances"][1])
+        path.write_text(json.dumps(manifest))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"solvers": [{"solver": "gm"}]}))
+        argv = ["reconstruct", "--config", str(cfg), "--dataset", str(tmp_path / "data")]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert solves == []
+        assert not out.exists()
+
+    def test_imports_load_no_third_party_module_but_numpy(self):
+        # numpy is the only runtime dependency; a module-level import of any other
+        # package would also add to the import time of every command
+        src = str(Path(experiments.__file__).parents[1])
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import tomokit, tomokit.cli, tomokit.experiments\n"
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(loaded - sys.stdlib_module_names - {'numpy', 'tomokit'}))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_package_import_leaves_experiments_unloaded(self):
         # the package exports no config reader, so only the commands load experiments
         src = str(Path(experiments.__file__).parents[1])

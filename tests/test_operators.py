@@ -296,6 +296,35 @@ class TestHomodyneOperator:
             homodyne_operator(2, [0.0], [0.0, 1.0, np.inf])
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda t2: MeasurementData(np.ones(3)), "data must be a 2-D array"),
+            (
+                lambda t2: MeasurementOperator(np.zeros((1, 2, 2, 3))),
+                r"effects must have shape \(M, K, N, N\)",
+            ),
+            (lambda t2: t2.pseudo_inverse_apply(np.ones((2, 3))), "data shape"),
+            (lambda t2: homodyne_operator(0, [0.0], [0.0, 1.0]), "dimension must be >= 1"),
+            (lambda t2: homodyne_operator(2, [], [0.0, 1.0]), "angles must be a nonempty"),
+        ],
+        ids=["data-1d", "effects-shape", "pseudo-inverse-shape", "homodyne-dim", "homodyne-angles"],
+    )
+    def test_rejects_malformed_input(self, t2, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(t2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_effects_whose_design_overflows(self):
+        # the sqrt(2) scaling of a finite off-diagonal entry overflowed with a
+        # numpy warning before the design's finiteness check could report it
+        effects = np.zeros((1, 1, 2, 2), dtype=complex)
+        effects[0, 0] = [[0.0, 1.5e308], [1.5e308, 0.0]]
+        with pytest.raises(ValueError, match="effects have non-finite entries"):
+            MeasurementOperator(effects)
+
+
 class TestMeasurementData:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
@@ -374,10 +403,14 @@ class TestDescriptors:
             operator_from_descriptor({**small_descriptor, field: values})
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("edges", [[-1e308, 1e308], [1e308, 1.7e308]])
+    @pytest.mark.parametrize(
+        "edges", [[-1e308, 1e308], [1e308, 1.7e308], [1e200, 2e200], [0.0, 1.7e308]]
+    )
     def test_rejects_bin_edges_whose_widths_or_midpoints_overflow(self, edges):
         # numpy warned of overflow in subtract or add, and of an invalid multiply,
-        # before the design check rejected the non-finite effects
+        # before the design check rejected the non-finite effects; the last two
+        # warned of overflow in the Hermite recurrence's x * x and built all-zero
+        # effects
         descriptor = {"kind": "homodyne", "dim": 2, "angles": [0.0], "bin_edges": edges}
         with pytest.raises(ValueError, match="bin_edges must give bin widths and midpoints"):
             operator_from_descriptor(descriptor)

@@ -14,7 +14,7 @@ from tomokit.diagnostics import (
     validity_certificate,
 )
 from tomokit.experiments import simulate_data
-from tomokit.hermitian import DensityLike, random_density, trace_norm
+from tomokit.hermitian import DensityLike, HermitianMatrix, random_density, trace_norm
 from tomokit.objectives import Objective
 from tomokit.operators import MeasurementOperator
 from tomokit.solvers import (
@@ -33,6 +33,8 @@ from tomokit.solvers import (
     mle_solve,
     mle_step,
     pgd_solve,
+    _barzilai_borwein,
+    _line_searched_solve,
     _norm,
     _outer,
     _scaled_fgd_prepare,
@@ -93,6 +95,16 @@ class TestFactorState:
     def test_from_density_rank_validation(self):
         with pytest.raises(ValueError):
             FactorState.from_density(random_density(3, 2, 0), 4)
+
+    def test_factor_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="factor must be a 2-D array"):
+            FactorState(np.ones(4) / 2.0)
+
+    def test_start_without_mass_on_the_rank_is_degenerate(self):
+        # a density always has mass on its top eigenvector; from_density reads only
+        # the spectrum, so a zero matrix is what reaches this check
+        with pytest.raises(DegenerateStateError, match="no mass on the requested rank"):
+            FactorState.from_density(HermitianMatrix(np.zeros((3, 3))), 2)
 
 
 class TestMleStep:
@@ -337,6 +349,11 @@ class TestNorm:
 
 
 class TestFactorized:
+    def test_likelihood_step_requires_nll(self, t2):
+        obj = Objective(t2, np.full((3, 2), 0.5), kind="l2")
+        with pytest.raises(ValueError, match="requires the nll objective"):
+            factorized_mle_step(FactorState.from_density(maximally_mixed(2), 2), obj)
+
     def test_zero_gradient_keeps_factor(self, t2):
         rho = random_density(2, 2, 19)
         obj = Objective(t2, t2.apply(rho), kind="l2")
@@ -651,6 +668,34 @@ class TestPgdSolve:
             assert obj.value(oracle) <= obj.value(gm_final) + 1e-8
 
 
+class TestLineSearch:
+    def test_barzilai_borwein_doubles_eps_without_curvature(self):
+        d_rho = np.diag([1.0, -1.0]).astype(complex)
+        assert _barzilai_borwein(0.25, d_rho, 0.1 * d_rho) == pytest.approx(10.0)
+        assert _barzilai_borwein(0.25, d_rho, -d_rho) == 0.5
+        assert _barzilai_borwein(0.25, d_rho, np.zeros((2, 2))) == 0.5
+
+    def test_degenerate_trial_fails_and_halves_eps(self, t2):
+        # the first trial raises; the second, at half the eps, returns the start,
+        # which is the minimizer here and so is accepted
+        obj = Objective(t2, t2.apply(maximally_mixed(2)), kind="nll")
+        start, trial_eps = maximally_mixed(2).entries, []
+
+        def step(eps):
+            trial_eps.append(eps)
+            if len(trial_eps) == 1:
+                raise DegenerateStateError("the trial annihilated the state")
+            return start
+
+        final, trace = _line_searched_solve(
+            start, obj, StepPolicy(), max_iter=1, tol=0.0, density_of=lambda arr: arr,
+            prepare=lambda arr, _prev, g: (None, step, None),
+        )
+        assert trial_eps == [default_eps(obj, maximally_mixed(2)), trial_eps[0] / 2]
+        assert (trace.trials, trace.eps_values, trace.stop_reason) == (2, trial_eps[1:], MAX_ITER)
+        assert final is start
+
+
 class TestMleSolve:
     def test_converges_on_consistent_data(self, t2):
         truth = random_density(2, 2, 33)
@@ -659,3 +704,8 @@ class TestMleSolve:
         assert trace.stop_reason == CONVERGED
         assert trace_norm(final.entries - truth.entries) < 1e-6
         assert all(math.isnan(e) for e in trace.eps_values)
+
+    def test_requires_nll(self, t2):
+        obj = Objective(t2, np.full((3, 2), 0.5), kind="l2")
+        with pytest.raises(ValueError, match="mle_solve requires the nll objective"):
+            mle_solve(maximally_mixed(2), obj)
