@@ -480,7 +480,7 @@ def _run_record(
     )
 
 
-def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list) -> tuple:
+def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list, dim: int) -> tuple:
     """The manifest instance `inst`, config field `name`, checked and read: its
     (id, truth, truth descriptor) and the (variant, data) of each solver entry."""
     files = _json_object(_json_of(inst, name, dict).get("files"), f"{name}.files",
@@ -488,15 +488,20 @@ def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list) -> tup
     instance_id = _json_of(inst.get("id"), f"{name}.id", str)
     if set(instance_id) & set(",\r\n"):
         raise ValueError(f"config field {name}.id has a comma or line break: {instance_id!r}")
-    truth_desc = {"rank": _config_number(inst.get("rank"), f"{name}.rank", int),
-                  "seed": _config_number(inst.get("truth_seed"), f"{name}.truth_seed", int)}
+    rank = _config_number(inst.get("rank"), f"{name}.rank", int)
+    seed = _config_number(inst.get("truth_seed"), f"{name}.truth_seed", int)
+    truth_desc = {"rank": _in_range(rank, f"{name}.rank", 1, dim),
+                  "seed": _in_range(seed, f"{name}.truth_seed", 0)}
     variants = [cfg["data"] or ("noisy" if "noisy" in files else "exact") for cfg in solver_cfgs]
     paths = {}
-    for key in ("truth", *variants):
+    for key in dict.fromkeys(("truth", *variants)):
         if key not in files:
             raise ValueError(f"instance {instance_id} has no {key!r} data ({name}.files.{key})")
-        path = _json_of(files[key], f"{name}.files.{key}", dict).get("path")
-        paths[key] = dataset / _json_of(path, f"{name}.files.{key}.path", str)
+        field = f"{name}.files.{key}"
+        entry = _json_of(files[key], field, dict)
+        paths[key] = dataset / _json_of(entry.get("path"), f"{field}.path", str)
+        if _sha256(paths[key]) != _json_of(entry.get("sha256"), f"{field}.sha256", str):
+            raise ValueError(f"config field {field}.sha256 is not the digest of {paths[key]}")
     truth = DensityLike(load_matrix(paths.pop("truth")))
     data = {key: MeasurementData.load_csv(path) for key, path in paths.items()}
     return (instance_id, truth, truth_desc), [(v, data[v]) for v in variants]
@@ -512,8 +517,9 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     values near 1e-9 lie within its stop tolerance, not solver disagreement.
     Before any solve, the solver entries and the `oracle` block are checked, and
     every manifest instance is checked and read: `id` a string with no comma or
-    line break (a records.csv field), `rank` and `truth_seed` integers, and `files`
-    holding `truth` and each data variant the entries use, each with a string `path`.
+    line break (a records.csv field), `rank` an integer in [1, dim] and `truth_seed`
+    one >= 0, and `files` holding `truth` and each data variant the entries use, each
+    with a string `path` and a `sha256` that the file's digest matches.
     """
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
@@ -530,8 +536,10 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     ]
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle", ("tol", "max_iter"))
     oracle_tol, oracle_max_iter = _stop_rule(oracle_cfg, "oracle", 1e-10)
-    instances = [_manifest_instance(dataset, inst, f"manifest.instances[{i}]", solver_cfgs)
-                 for i, inst in enumerate(instances)]
+    instances = [
+        _manifest_instance(dataset, inst, f"manifest.instances[{i}]", solver_cfgs, operator.dim)
+        for i, inst in enumerate(instances)
+    ]
 
     records = []
     mixed = DensityLike.from_array(np.eye(operator.dim, dtype=complex) / operator.dim)

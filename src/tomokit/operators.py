@@ -51,7 +51,10 @@ class MeasurementData:
 
     @classmethod
     def load_csv(cls, path) -> "MeasurementData":
-        return cls(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2))
+        # An open file, not a path: numpy would read a path through its DataSource,
+        # which falls back to path.gz and fetches URLs.
+        with open(path, encoding="utf-8") as fh:
+            return cls(np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2))
 
 
 def _data_values(data) -> np.ndarray:
@@ -82,33 +85,41 @@ class MeasurementOperator:
         rows, cols, N = effects.shape[:3]
         triangle, mirror = _triangle(N)
         flat = effects.reshape(rows * cols, N * N)
-        tri = flat[:, triangle]
         # i <= j suffices: the difference at (j, i) negates the real part of the one at (i, j).
-        deviation = float(np.abs(tri - np.conjugate(flat[:, mirror])).max())
+        deviation = float(np.abs(flat[:, triangle] - np.conjugate(flat[:, mirror])).max())
         if deviation > HERMITIAN_ATOL:
             raise ValueError(f"effects are not Hermitian: max |E - E*| = {deviation:.3e}")
-        self._set_design(rows, cols, N, tri.reshape(rows, cols, -1))
+        self._set_basis(rows, cols, N, triangle)
+        packed = flat.view(np.float64)[:, self._offsets].reshape(rows, cols, N * N)
+        self._set_design(packed, 1.0)
 
-    def _set_design(self, rows: int, cols: int, N: int, blocks) -> None:
-        """Pack blocks[m][k], the i <= j entries of E[m, k] in `_triangle` order, as the design."""
-        triangle, size = _triangle(N)[0], N * (N + 1) // 2
+    def _set_basis(self, rows: int, cols: int, N: int, triangle: np.ndarray) -> None:
+        """Set the shape and the packing tables, from `_triangle(N)`'s triangle."""
         self.rows, self.cols, self.dim = rows, cols, N
         # Offsets into the interleaved (re, im) floats of a flattened N x N array.
         self._offsets = np.concatenate([2 * triangle, 2 * triangle[N:] + 1])
         self._scale = np.concatenate([np.ones(N), np.full(N * N - N, np.sqrt(2.0))])
         # Halved diagonal: unpacking adds the upper triangle to its conjugate transpose.
         self._unscale = np.concatenate([np.full(N, 0.5), np.full(N * N - N, np.sqrt(0.5))])
+
+    def _set_design(self, left, right) -> None:
+        """Write the design: row m*K + k is (left * right)[m, k] * `_scale`, where left
+        and right broadcast to the (M, K, N*N) unscaled coordinates in `_offsets` order."""
+        rows, cols, size = self.rows, self.cols, self.dim * self.dim
         # F-ordered (C if one row or column, as ufuncs give), so D @ v keeps to one BLAS kernel.
-        order = "C" if min(rows * cols, N) == 1 else "F"
-        self._packed_effects = design = np.empty((rows * cols, N * N), order=order)
+        if min(rows * cols, self.dim) == 1:
+            design = np.empty((rows * cols, size))
+            out = design.reshape(rows, cols, size)
+        else:
+            design = np.empty((rows * cols, size), order="F")
+            out = design.T.reshape(size, rows, cols).transpose(1, 2, 0)
         with np.errstate(over="ignore"):  # an entry that overflows fails the check below
-            for m, tri in enumerate(blocks):
-                out = design[m * cols : (m + 1) * cols]
-                np.multiply(tri.real, self._scale[:size], out=out[:, :size])
-                np.multiply(tri[:, N:].imag, self._scale[size:], out=out[:, size:])
+            np.multiply(left, right, out=out)
+            design *= self._scale
         if not np.isfinite(design).all():
             raise ValueError("effects have non-finite entries")
         design.setflags(write=False)
+        self._packed_effects = design
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -198,6 +209,11 @@ def homodyne_operator(
     Effect (E[theta, k])[m, n] = exp(i (n - m) theta) * I_k[m, n] where
     I_k[m, n] integrates h_m h_n over bin k by Gauss-Legendre quadrature with
     `quad_order` nodes per bin. Effects are Hermitian by construction.
+
+    The design is written in one product, D[(theta, k), j] = (c[theta, j] * o[k, j]) * s[j]
+    over the packed coordinates j: the phase c is 1 on the diagonal and, at i < j,
+    cos((j - i) theta) for the real coordinate and sin((j - i) theta) for the imaginary
+    one; o is the symmetrized overlap 0.5 * (I_k[i, j] + I_k[j, i]); s is the basis scale.
     """
     if N < 1:
         raise ValueError(f"dimension must be >= 1, got {N}")
@@ -218,6 +234,10 @@ def homodyne_operator(
     # Every quadrature node lies in its bin, and the Hermite recurrence squares it.
     if not (np.abs(edges) < np.sqrt(np.finfo(float).max)).all():  # 1.34e154
         raise ValueError("bin_edges must give bin widths and midpoints finite when squared")
+    # The phases take cos and sin of (j - i) * angle, with j - i up to N - 1.
+    bound = np.finfo(float).max / max(N - 1, 1)  # a quotient, so the check cannot overflow
+    if not (np.abs(angles) <= bound).all():
+        raise ValueError(f"angles must be at most {bound:.3e} in magnitude at dim {N}")
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
 
@@ -229,13 +249,12 @@ def homodyne_operator(
     scaled = (rows * np.sqrt(half[:, None] * weights)).transpose(1, 0, 2)
     gram = (scaled @ scaled.transpose(0, 2, 1)).reshape(K, N * N)
 
-    # Per angle, E = 0.5 * (raw + raw^H) at i <= j from raw = phase * overlap at (i, j) and
-    # (j, i), whose overlaps are equal: symmetrizing only the phases would keep FMA residue.
     triangle, mirror = _triangle(N)
-    overlap = 0.5 * (gram[:, triangle] + gram[:, mirror])
-    phases = (np.outer(u.conj(), u).ravel() for u in np.exp(1j * np.arange(N) * angles[:, None]))
-    blocks = ((p[triangle] * overlap + np.conjugate(p[mirror] * overlap)) * 0.5 for p in phases)
+    upper = triangle[N:]  # flat indices i * N + j with i < j
+    overlaps = 0.5 * (gram[:, np.r_[triangle, upper]] + gram[:, np.r_[mirror, mirror[N:]]])
+    turns = np.multiply.outer(angles, upper % N - upper // N)  # (j - i) * theta
+    phases = np.concatenate([np.ones((angles.size, N)), np.cos(turns), np.sin(turns)], axis=1)
     operator = MeasurementOperator.__new__(MeasurementOperator)  # Hermitian by construction
-    operator._set_design(angles.size, K, N, blocks)
+    operator._set_basis(angles.size, K, N, triangle)
+    operator._set_design(phases[:, None, :], overlaps)
     return operator
-

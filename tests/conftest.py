@@ -44,9 +44,8 @@ def pauli_six_effects() -> np.ndarray:
     )
 
 
-def reference_homodyne_effects(descriptor: dict) -> np.ndarray:
-    """The full (M, K, N, N) homodyne effect array of a descriptor, built angle by
-    angle as 0.5 * (raw + raw^H) with raw = phase * overlap."""
+def _reference_overlaps(descriptor: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The angles of a homodyne descriptor and its (K, N, N) symmetrized bin overlaps."""
     N, quad_order = descriptor["dim"], descriptor.get("quad_order", 20)
     angles = np.asarray(descriptor["angles"], dtype=float)
     edges = np.asarray(descriptor["bin_edges"], dtype=float)
@@ -58,9 +57,27 @@ def reference_homodyne_effects(descriptor: dict) -> np.ndarray:
     rows = _hermite_rows(N, x.ravel()).reshape(N, K, quad_order)
     scaled = (rows * np.sqrt(half[:, None] * weights)).transpose(1, 0, 2)
     gram = scaled @ scaled.transpose(0, 2, 1)
-    overlaps = 0.5 * (gram + gram.transpose(0, 2, 1))
-    effects = np.empty((angles.size, K, N, N), dtype=np.complex128)
-    orders = np.arange(N)
+    return angles, 0.5 * (gram + gram.transpose(0, 2, 1))
+
+
+def reference_homodyne_effects(descriptor: dict) -> np.ndarray:
+    """The full (M, K, N, N) homodyne effect array of a descriptor, built angle by
+    angle with real part cos((n - m) theta) * overlap and imaginary part sin(...) * overlap."""
+    angles, overlaps = _reference_overlaps(descriptor)
+    N = overlaps.shape[-1]
+    effects = np.empty((angles.size,) + overlaps.shape, dtype=np.complex128)
+    turns = np.arange(N) - np.arange(N)[:, None]  # n - m at [m, n]
+    for m, theta in enumerate(angles):
+        effects[m].real = np.cos(turns * theta) * overlaps
+        effects[m].imag = np.sin(turns * theta) * overlaps
+    return effects
+
+
+def complex_product_homodyne_effects(descriptor: dict) -> np.ndarray:
+    """The same effects built as 0.5 * (raw + raw^H) with the complex raw = phase * overlap."""
+    angles, overlaps = _reference_overlaps(descriptor)
+    effects = np.empty((angles.size,) + overlaps.shape, dtype=np.complex128)
+    orders = np.arange(overlaps.shape[-1])
     for m, theta in enumerate(angles):
         u = np.exp(1j * orders * theta)
         raw = np.outer(u.conj(), u) * overlaps

@@ -1039,8 +1039,26 @@ class TestCli:
                 lambda inst: inst.update(id="a\nb"),
                 "config field manifest.instances[1].id has a comma or line break: 'a\\nb'",
             ),
+            (
+                lambda inst: inst.update(rank=3),
+                "config field manifest.instances[1].rank must be in [1, 2], got 3",
+            ),
+            (
+                lambda inst: inst.update(rank=-7),
+                "config field manifest.instances[1].rank must be in [1, 2], got -7",
+            ),
+            (
+                lambda inst: inst.update(truth_seed=-3),
+                "config field manifest.instances[1].truth_seed must be >= 0, got -3",
+            ),
+            (
+                lambda inst: inst["files"]["truth"].pop("sha256"),
+                "config field manifest.instances[1].files.truth.sha256 must be a JSON string, "
+                "got None",
+            ),
         ],
-        ids=["no-truth", "no-id", "string-rank", "integer-path", "id-comma", "id-newline"],
+        ids=["no-truth", "no-id", "string-rank", "integer-path", "id-comma", "id-newline",
+             "rank-above-dim", "rank-negative", "truth-seed-negative", "no-digest"],
     )
     def test_reconstruct_checks_every_instance_before_any_solve(
         self, edit, message, tmp_path, capsys, monkeypatch
@@ -1061,6 +1079,24 @@ class TestCli:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert solves == []
+        assert not out.exists()
+
+    def test_reconstruct_rejects_data_edited_after_generate(self, tmp_path, capsys, monkeypatch):
+        # the manifest's digests were never compared, so edited data reconstructed silently
+        solves = count_calls(monkeypatch, "gm_solve", "pgd_solve")
+        spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1, 2]}}
+        generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+        noisy = tmp_path / "data" / "instances" / "r02_i000" / "noisy.csv"
+        _write_data_csv(noisy, 0.5)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"solvers": [{"solver": "gm"}]}))
+        argv = ["reconstruct", "--config", str(cfg), "--dataset", str(tmp_path / "data")]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        field = "manifest.instances[1].files.noisy.sha256"
+        assert f"error: config field {field} is not the digest of" in err
         assert "Traceback" not in err
         assert solves == []
         assert not out.exists()

@@ -12,7 +12,11 @@ from tomokit.operators import (
     pauli_six_state,
 )
 
-from conftest import pauli_six_effects, reference_homodyne_effects
+from conftest import (
+    complex_product_homodyne_effects,
+    pauli_six_effects,
+    reference_homodyne_effects,
+)
 
 RHO_FIX = DensityLike.from_array(np.array([[1.0, 1 - 1j], [1 + 1j, 2.0]]) / 3.0)
 # Homodyne setups whose design has one column (N = 1) or one row (one angle, one bin).
@@ -171,6 +175,17 @@ class TestDesignMatchesEffects:
             checked = MeasurementOperator(reference_homodyne_effects(descriptor))
             assert op._packed_effects.tobytes() == checked._packed_effects.tobytes()
             assert op._packed_effects.strides == checked._packed_effects.strides
+
+    def test_homodyne_design_stays_near_complex_product_construction(
+        self, homodyne_small, homodyne10, small_descriptor
+    ):
+        # the design used to be written from complex phase products angle by angle;
+        # the phase table of cos and sin moves it only in the last bits
+        cases = [(homodyne_small, small_descriptor), (homodyne10, standard_homodyne_descriptor())]
+        cases += [(operator_from_descriptor(d), d) for d in ONE_COLUMN_OR_ROW]
+        for op, descriptor in cases:
+            product = MeasurementOperator(complex_product_homodyne_effects(descriptor))
+            assert np.abs(op._packed_effects - product._packed_effects).max() <= 1e-15
 
     def test_packed_design_is_read_only_and_f_contiguous(self, t2, homodyne_small, homodyne10):
         for op in (t2, homodyne_small, homodyne10):
@@ -350,6 +365,14 @@ class TestMeasurementData:
         data.save_csv(path)
         assert MeasurementData.load_csv(path).shape == (1, 2)
 
+    def test_load_reads_only_the_named_file(self, tmp_path):
+        # a path went through numpy's DataSource, which read d.csv.gz in place of
+        # a missing d.csv (and would fetch a URL)
+        data = MeasurementData(np.array([[0.25, 0.75]]))
+        data.save_csv(tmp_path / "d.csv.gz")
+        with pytest.raises(FileNotFoundError, match="No such file or directory"):
+            MeasurementData.load_csv(tmp_path / "d.csv")
+
 
 class TestDescriptors:
     def test_pauli_descriptor(self):
@@ -414,6 +437,26 @@ class TestDescriptors:
         descriptor = {"kind": "homodyne", "dim": 2, "angles": [0.0], "bin_edges": edges}
         with pytest.raises(ValueError, match="bin_edges must give bin widths and midpoints"):
             operator_from_descriptor(descriptor)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "dim, angles", [(3, [1e308, 0.0]), (4, [0.0, -1e308]), (10, [0.0, 2.1e307])]
+    )
+    def test_rejects_angles_whose_phases_overflow(self, dim, angles):
+        # numpy warned of overflow in multiply and of an invalid exp before the
+        # design check rejected the non-finite effects
+        message = "angles must be at most .* in magnitude"
+        with pytest.raises(ValueError, match=message):
+            homodyne_operator(dim, angles, [0.0, 1.0])
+        descriptor = {"kind": "homodyne", "dim": dim, "angles": angles, "bin_edges": [0.0, 1.0]}
+        with pytest.raises(ValueError, match=message):
+            operator_from_descriptor(descriptor)
+
+    @pytest.mark.filterwarnings("error")
+    def test_accepts_the_largest_angle_whose_phases_are_finite(self):
+        top = np.finfo(float).max
+        for dim, angle in [(1, top), (2, top), (3, top / 2)]:
+            assert homodyne_operator(dim, [0.0, angle], [0.0, 1.0]).shape == (2, 1)
 
     @pytest.mark.parametrize(
         "descriptor, message",
