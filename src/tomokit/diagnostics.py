@@ -82,7 +82,7 @@ def validity_certificate(rho: DensityLike, obj: Objective) -> ValidityCertificat
     KERNEL_EIG_CUTOFF, within RESTRICTED_PSD_TOL), else spurious.
     The restricted minimum is +inf when rho has no numerical kernel.
     """
-    return _certificate(rho.entries, obj._gradient_arr(rho.entries))
+    return _certificate(rho.entries, obj._gradient_from(obj.operator.apply(rho)))
 
 
 def _certificate(rho: np.ndarray, g: np.ndarray) -> ValidityCertificate:
@@ -138,7 +138,7 @@ def mu_exclusion(rho: DensityLike, obj: Objective) -> float:
     Returns mu = 1 / tr(grad F(rho) rho); math.inf signals that no finite step
     size is excluded (vanishing denominator, e.g. a perfect least-squares fit).
     """
-    g = obj._gradient_arr(rho.entries)
+    g = obj._gradient_from(obj.operator.apply(rho))
     denom = float((g @ rho.entries).trace().real)
     if abs(denom) < np.finfo(float).tiny:
         return math.inf

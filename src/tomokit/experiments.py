@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
+    KERNEL_EIG_CUTOFF,
     NOT_FIXED_POINT,
     SPURIOUS,
     VALID,
@@ -143,11 +144,13 @@ def _json_of(value, name: str, kind: type):
 
 
 def _json_object(value, name: str, known: tuple) -> dict:
-    """A nested config block, which must be a JSON object whose keys are all in `known`,
-    so that a mistyped key fails instead of leaving its setting at the default."""
-    for key in _json_of(value, name, dict):
+    """The config block `name`, or the whole config when `name` is "", which must be a JSON
+    object whose keys are all in `known`, so that a mistyped key fails instead of leaving
+    its setting at the default."""
+    for key in _json_of(value, name or "config", dict):
         if key not in known:
-            raise ValueError(f"config field {name}.{key} is unknown; {name} takes {known}")
+            field, block = (f"{name}.{key}", name) if name else (key, "the config")
+            raise ValueError(f"config field {field} is unknown; {block} takes {known}")
     return value
 
 
@@ -247,6 +250,7 @@ class ExperimentSpec:
 
 
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
+    _json_object(config, "", ("operator", "ensemble", "noise", "solvers", "seed", "output_dir"))
     ensemble = config.get("ensemble", {})
     ensemble = _json_object(ensemble, "ensemble", ("dim", "ranks", "count_per_rank"))
     noise = _json_object(config.get("noise", {}), "noise", ("scale", "enabled"))
@@ -480,9 +484,9 @@ def _run_record(
     )
 
 
-def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list, dim: int) -> tuple:
-    """The manifest instance `inst`, config field `name`, checked and read: its
-    (id, truth, truth descriptor) and the (variant, data) of each solver entry."""
+def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list, operator) -> tuple:
+    """The manifest instance `inst`, config field `name`, checked against `operator` and
+    read: its (id, truth, truth descriptor) and the (variant, data) of each solver entry."""
     files = _json_object(_json_of(inst, name, dict).get("files"), f"{name}.files",
                          ("truth", "exact", "noisy"))
     instance_id = _json_of(inst.get("id"), f"{name}.id", str)
@@ -490,7 +494,7 @@ def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list, dim: i
         raise ValueError(f"config field {name}.id has a comma or line break: {instance_id!r}")
     rank = _config_number(inst.get("rank"), f"{name}.rank", int)
     seed = _config_number(inst.get("truth_seed"), f"{name}.truth_seed", int)
-    truth_desc = {"rank": _in_range(rank, f"{name}.rank", 1, dim),
+    truth_desc = {"rank": _in_range(rank, f"{name}.rank", 1, operator.dim),
                   "seed": _in_range(seed, f"{name}.truth_seed", 0)}
     variants = [cfg["data"] or ("noisy" if "noisy" in files else "exact") for cfg in solver_cfgs]
     paths = {}
@@ -503,7 +507,18 @@ def _manifest_instance(dataset: Path, inst, name: str, solver_cfgs: list, dim: i
         if _sha256(paths[key]) != _json_of(entry.get("sha256"), f"{field}.sha256", str):
             raise ValueError(f"config field {field}.sha256 is not the digest of {paths[key]}")
     truth = DensityLike(load_matrix(paths.pop("truth")))
+    if truth.dim != operator.dim:
+        raise ValueError(f"config field {name}.files.truth is a {truth.dim} x {truth.dim} "
+                         f"state, not one of the operator's dim {operator.dim}")
+    truth_rank = int((np.linalg.eigvalsh(truth.entries) >= KERNEL_EIG_CUTOFF).sum())
+    if truth_rank != rank:
+        raise ValueError(f"config field {name}.rank is {rank}, but its truth has numerical "
+                         f"rank {truth_rank}")
     data = {key: MeasurementData.load_csv(path) for key, path in paths.items()}
+    for key, values in data.items():
+        if values.shape != operator.shape:
+            raise ValueError(f"config field {name}.files.{key} holds data of shape "
+                             f"{values.shape}, not the operator's {operator.shape}")
     return (instance_id, truth, truth_desc), [(v, data[v]) for v in variants]
 
 
@@ -519,7 +534,11 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     every manifest instance is checked and read: `id` a string with no comma or
     line break (a records.csv field), `rank` an integer in [1, dim] and `truth_seed`
     one >= 0, and `files` holding `truth` and each data variant the entries use, each
-    with a string `path` and a `sha256` that the file's digest matches.
+    with a string `path` and a `sha256` that the file's digest matches. The truth
+    must be an N x N state for the operator whose numerical rank, its eigenvalues
+    at or above KERNEL_EIG_CUTOFF, is `rank`, and each data file the operator's shape.
+    A `solvers` key that is present and not null must be a JSON list; an empty or
+    absent one takes the manifest's solvers.
     """
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
@@ -527,7 +546,10 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     dataset_cfg = _json_of(manifest.get("config"), "manifest.config", dict)
     instances = _json_of(manifest.get("instances"), "manifest.instances", list)
     operator = operator_from_descriptor(dataset_cfg.get("operator"))
-    solver_cfgs = run_config.get("solvers") or dataset_cfg.get("solvers") or []
+    solver_cfgs = run_config.get("solvers")
+    if solver_cfgs is not None:
+        _json_of(solver_cfgs, "solvers", list)
+    solver_cfgs = solver_cfgs or dataset_cfg.get("solvers") or []
     if not solver_cfgs:
         raise ValueError("no solver configurations given")
     solver_cfgs = [
@@ -537,7 +559,7 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     oracle_cfg = _json_object(run_config.get("oracle", {}), "oracle", ("tol", "max_iter"))
     oracle_tol, oracle_max_iter = _stop_rule(oracle_cfg, "oracle", 1e-10)
     instances = [
-        _manifest_instance(dataset, inst, f"manifest.instances[{i}]", solver_cfgs, operator.dim)
+        _manifest_instance(dataset, inst, f"manifest.instances[{i}]", solver_cfgs, operator)
         for i, inst in enumerate(instances)
     ]
 
@@ -589,12 +611,14 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     The config fields are checked before any truth is drawn: `fit` nll or l2
     (nll), `true_rank` in [1, N] (5), `count` >= 1 (10), a nonempty
     `start_ranks` of distinct ranks in [1, N] (1..N), `seed` >= 0 (0) and the
-    `solver` block's `tol` (1e-12) and `max_iter` (20000).
+    `solver` block's `tol` (1e-12) and `max_iter` (20000). Any top-level key but
+    these, `operator` and `output_dir` (which the command line reads) is an error.
     Returns the run records plus a per-start-rank summary with median trace
     distance, median kernel-restricted minimum eigenvalue, spurious fraction
     and median iteration count.
     """
-    operator = operator_from_descriptor(config.get("operator"))
+    known = ("operator", "true_rank", "count", "start_ranks", "fit", "solver", "seed", "output_dir")
+    operator = operator_from_descriptor(_json_object(config, "", known).get("operator"))
     N = operator.dim
     true_rank = _config_number(config.get("true_rank", 5), "true_rank", int)
     count = _in_range(_config_number(config.get("count", 10), "count", int), "count", 1)
@@ -650,10 +674,11 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
 def validate_state(state_path, config: dict, data_path) -> tuple[ValidityCertificate, int]:
     """Certificate plus machine exit code (0 valid / 2 spurious / 3 not fixed point).
 
-    Reads the keys `operator` (required descriptor) and `fit` (default nll), both
-    checked before any file is read; the state must have unit trace.
+    Reads the keys `operator` (required descriptor) and `fit` (default nll), and no
+    other, all checked before any file is read; the state must be an N x N density
+    matrix for the operator.
     """
-    fit = _fit(config)
+    fit = _fit(_json_object(config, "", ("operator", "fit")))
     operator = operator_from_descriptor(config.get("operator"))
     matrix = load_matrix(state_path)
     data = MeasurementData.load_csv(data_path)

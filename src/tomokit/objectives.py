@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import HermitianMatrix, entries_of
+from .hermitian import HermitianMatrix
 from .operators import MeasurementData, MeasurementOperator
 
 NEG_LOG_LIKELIHOOD = "nll"
@@ -24,7 +24,9 @@ FLOOR = 1e-12
 @dataclass(frozen=True)
 class Objective:
     """Data-fit functional F(rho): kind "nll" is -sum y*log(T rho) and kind "l2" is
-    0.5*||y - T rho||^2; any other kind, another spelling included, is a ValueError."""
+    0.5*||y - T rho||^2; any other kind, another spelling included, is a ValueError.
+    value, gradient and floor_active read an N x N state through operator.apply, its one
+    shape check; _value_from and _gradient_from take forward values T rho a solver holds."""
 
     operator: MeasurementOperator
     data: MeasurementData
@@ -40,7 +42,6 @@ class Objective:
         if self.kind not in OBJECTIVE_KINDS:
             raise ValueError(f"unknown objective kind {self.kind!r}")
 
-    # Forward values are shared between value and gradient in solver loops.
     def _value_from(self, p: np.ndarray) -> float:
         y = self.data.values
         if self.kind == NEG_LOG_LIKELIHOOD:
@@ -56,19 +57,13 @@ class Objective:
             weights = p - y
         return self.operator._adjoint_arr(weights)
 
-    def _value_arr(self, rho: np.ndarray) -> float:
-        return self._value_from(self.operator._apply_arr(rho))
-
-    def _gradient_arr(self, rho: np.ndarray) -> np.ndarray:
-        return self._gradient_from(self.operator._apply_arr(rho))
-
     def value(self, rho) -> float:
         """F(rho); the log/division guard keeps it finite near the PSD boundary."""
-        return self._value_arr(entries_of(rho))
+        return self._value_from(self.operator.apply(rho))
 
     def gradient(self, rho) -> HermitianMatrix:
         """Riesz representative of dF at rho under <A, B> = tr(A B)."""
-        return HermitianMatrix(self._gradient_arr(entries_of(rho)))
+        return HermitianMatrix(self._gradient_from(self.operator.apply(rho)))
 
     def floor_active(self, rho) -> bool:
         """True when some forward value fell below the guard floor."""

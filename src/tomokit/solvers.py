@@ -142,7 +142,7 @@ def mle_step(rho: DensityLike, obj: Objective) -> DensityLike:
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the multiplicative likelihood step requires the nll objective")
     # The nll reweighting operator R is -grad F; the sandwich is even in it.
-    return _normalized_sandwich(obj._gradient_arr(rho.entries), rho.entries)
+    return _normalized_sandwich(obj._gradient_from(obj.operator.apply(rho)), rho.entries)
 
 
 def gm_step(rho: DensityLike, g, eps: float) -> DensityLike:
@@ -210,7 +210,7 @@ def _outer(X: np.ndarray) -> np.ndarray:
 
 def fgd_step(state: FactorState, obj: Objective, eps: float) -> FactorState:
     """One factorized descent update X - eps * grad F(X X*) X, renormalized."""
-    g = obj._gradient_arr(_outer(state.X))
+    g = obj._gradient_from(obj.operator.apply(_outer(state.X)))
     return FactorState(_fgd_prepare(state.X, state.X, g)[1](eps))
 
 
@@ -218,7 +218,8 @@ def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
     """Factorized form of the multiplicative likelihood step: X -> R X / ||R X||."""
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the factorized likelihood step requires the nll objective")
-    return FactorState(_mle_apply_arr(state.X, obj._gradient_arr(_outer(state.X))))
+    g = obj._gradient_from(obj.operator.apply(_outer(state.X)))
+    return FactorState(_mle_apply_arr(state.X, g))
 
 
 # --- full solves -------------------------------------------------------------
@@ -287,7 +288,7 @@ def _line_searched_solve(
     """
     _check_stop_rule(tol, max_iter)
     rho = density_of(state)
-    p = obj.operator._apply_arr(rho)
+    p = obj.operator.apply(rho)
     f = obj._value_from(p)
     g = obj._gradient_from(p)
     eps = policy.resolve_initial(float(np.linalg.norm(g)))
@@ -443,7 +444,7 @@ def mle_solve(
     _check_stop_rule(tol, max_iter)
     X = FactorState.from_density(rho0, rho0.dim).X
     rho = _outer(X)
-    p = obj.operator._apply_arr(rho)
+    p = obj.operator.apply(rho)
     trace = SolverTrace(objective_values=[obj._value_from(p)])
 
     for _ in range(max_iter):

@@ -176,8 +176,8 @@ def test_criterion_06_gradient_finite_difference(t2, homodyne10):
                 for _ in range(20):
                     D = random_hermitian(op.dim, int(rng.integers(1 << 31))).entries
                     D = D / np.linalg.norm(D)
-                    plus = obj._value_arr(rho.entries + h * D)
-                    minus = obj._value_arr(rho.entries - h * D)
+                    plus = obj.value(rho.entries + h * D)
+                    minus = obj.value(rho.entries - h * D)
                     directional = (plus - minus) / (2 * h)
                     analytic = float((g @ D).trace().real)
                     assert abs(directional - analytic) <= 1e-5 * (1.0 + abs(analytic))

@@ -402,17 +402,23 @@ class TestRankTrap:
             ),
             ({"solver": {"max_iter": -5}}, "config field solver.max_iter must be >= 0, got -5"),
             ({"solver": {"tol": math.nan}}, "config field solver.tol must be finite and >= 0"),
+            (
+                {"start_rank": [1]},
+                "config field start_rank is unknown; the config takes ('operator', 'true_rank', "
+                "'count', 'start_ranks', 'fit', 'solver', 'seed', 'output_dir')",
+            ),
         ],
         ids=[
             "fit", "true-rank-high", "true-rank-zero", "start-ranks-empty",
-            "start-ranks-repeated", "max-iter", "tol",
+            "start-ranks-repeated", "max-iter", "tol", "unknown-key",
         ],
     )
     def test_rejects_bad_inputs_before_any_truth(
         self, small_descriptor, monkeypatch, override, message
     ):
         # these used to fail only once a truth was drawn or inside the first
-        # solve, and an empty start_ranks wrote empty records
+        # solve, and an empty start_ranks wrote empty records; an unknown key was
+        # ignored, so start_rank: [1] ran every start rank
         calls = []
 
         def counted(fn):
@@ -541,6 +547,20 @@ class TestCli:
         assert code == 2
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["verdict"] == "spurious"
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_validate_rejects_a_state_of_the_wrong_size(self, dim, tmp_path, capsys):
+        # a 1 x 1 state used to end in an IndexError traceback, and a 3 x 3 one in
+        # a numpy matmul message
+        state, config, data = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "d.csv"
+        save_matrix(state, np.eye(dim) / dim)
+        config.write_text(json.dumps({"operator": {"kind": "pauli6"}, "fit": "nll"}))
+        _write_data_csv(data, 0.5)
+        argv = ["validate", "--state", str(state), "--config", str(config), "--data", str(data)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: state shape ({dim}, {dim}) does not match dim 2" in err
+        assert "Traceback" not in err
 
     def test_parse_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -909,6 +929,9 @@ class TestCli:
                 {"solvers": [{"solver": "gm", "seed": -1}]},
                 "config field solvers[0].seed must be >= 0, got -1",
             ),
+            ("rank-trap", {"start_rank": [1]}, "config field start_rank is unknown"),
+            ("generate", {"noise_scale": 10.0}, "config field noise_scale is unknown"),
+            ("validate", {"fits": "l2"}, "config field fits is unknown"),
         ],
         ids=[
             "rank-trap-count", "rank-trap-start-rank", "rank-trap-operator",
@@ -917,6 +940,7 @@ class TestCli:
             "generate-count-per-rank", "generate-noise-scale", "generate-operator",
             "validate-operator", "validate-fit", "reconstruct-data-truth",
             "rank-trap-seed", "generate-seed", "reconstruct-solver-seed",
+            "rank-trap-unknown-key", "generate-unknown-key", "validate-unknown-key",
         ],
     )
     def test_config_errors_name_their_field(
@@ -928,7 +952,8 @@ class TestCli:
         # "unknown objective kind 'l3'" (after the state file was read); a "truth"
         # data variant passed the entry check and stopped inside reconstruct
         # after the first solve; a negative seed failed inside numpy, after generate
-        # had made its first instance directory, or passed in a full-rank entry
+        # had made its first instance directory, or passed in a full-rank entry; an
+        # unknown top-level key was ignored, so start_rank ran every start rank
         calls = count_calls(
             monkeypatch, "load_matrix", "gm_solve", "fgd_solve", "mle_solve", "pgd_solve"
         )
@@ -1056,16 +1081,22 @@ class TestCli:
                 "config field manifest.instances[1].files.truth.sha256 must be a JSON string, "
                 "got None",
             ),
+            (
+                lambda inst: inst.update(rank=1),
+                "config field manifest.instances[1].rank is 1, but its truth has numerical rank 2",
+            ),
         ],
         ids=["no-truth", "no-id", "string-rank", "integer-path", "id-comma", "id-newline",
-             "rank-above-dim", "rank-negative", "truth-seed-negative", "no-digest"],
+             "rank-above-dim", "rank-negative", "truth-seed-negative", "no-digest",
+             "rank-below-truth"],
     )
     def test_reconstruct_checks_every_instance_before_any_solve(
         self, edit, message, tmp_path, capsys, monkeypatch
     ):
         # these used to end in "error: 'truth'" after the first instance's solves,
         # "error: 'id'" after them, a string truth_rank in the records, a TypeError
-        # traceback and a records.csv row with its fields shifted by the comma
+        # traceback and a records.csv row with its fields shifted by the comma; a
+        # rank below the truth's was written to the records as truth_rank
         solves = count_calls(monkeypatch, "gm_solve", "pgd_solve")
         spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1, 2]}}
         generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
@@ -1082,6 +1113,74 @@ class TestCli:
         assert "Traceback" not in err
         assert solves == []
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, write, message",
+        [
+            (
+                "truth",
+                lambda path: save_matrix(path, np.eye(3) / 3),
+                "config field manifest.instances[1].files.truth is a 3 x 3 state, not one of "
+                "the operator's dim 2",
+            ),
+            (
+                "noisy",
+                lambda path: MeasurementData(np.full((2, 2), 0.5)).save_csv(path),
+                "config field manifest.instances[1].files.noisy holds data of shape (2, 2), "
+                "not the operator's (3, 2)",
+            ),
+        ],
+        ids=["truth-dim", "data-shape"],
+    )
+    def test_reconstruct_checks_instance_files_against_the_operator(
+        self, key, write, message, tmp_path, capsys, monkeypatch
+    ):
+        # with digests that match, these used to fail only inside the solve of the
+        # instance, after the first instance's solves, with a numpy message that
+        # named no instance
+        solves = count_calls(monkeypatch, "gm_solve", "pgd_solve")
+        spec = {"operator": {"kind": "pauli6"}, "ensemble": {"dim": 2, "ranks": [1, 2]}}
+        generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["instances"][1]["files"][key]
+        write(tmp_path / "data" / entry["path"])
+        entry["sha256"] = experiments._sha256(tmp_path / "data" / entry["path"])
+        path.write_text(json.dumps(manifest))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"solvers": [{"solver": "gm"}]}))
+        argv = ["reconstruct", "--config", str(cfg), "--dataset", str(tmp_path / "data")]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert solves == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solvers", [{}, 0, "", False])
+    def test_reconstruct_rejects_a_solvers_field_that_is_not_a_list(
+        self, solvers, tmp_path, capsys, monkeypatch
+    ):
+        # a false value that is not a list used to run the manifest's solvers
+        solves = count_calls(monkeypatch, "gm_solve", "pgd_solve")
+        spec = {
+            "operator": {"kind": "pauli6"},
+            "ensemble": {"dim": 2, "ranks": [1]},
+            "solvers": [{"solver": "gm", "max_iter": 10}],
+        }
+        generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        argv = ["reconstruct", "--config", str(cfg), "--dataset", str(tmp_path / "data")]
+        cfg.write_text(json.dumps({"solvers": solvers}))
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "config field solvers must be a JSON list" in capsys.readouterr().err
+        assert solves == []
+        assert not out.exists()
+        # an absent or null solvers field still runs the manifest's solvers
+        for config in ({}, {"solvers": None}):
+            cfg.write_text(json.dumps(config))
+            assert main(argv + ["--out", str(out)]) == 0
+            assert len(json.loads((out / "records.json").read_text())["records"]) == 1
 
     def test_reconstruct_rejects_data_edited_after_generate(self, tmp_path, capsys, monkeypatch):
         # the manifest's digests were never compared, so edited data reconstructed silently
@@ -1146,8 +1245,10 @@ class TestCli:
         if command == "reconstruct":
             generate_dataset(parse_experiment_spec(spec, output_dir=tmp_path / "data"))
             argv += ["--dataset", str(tmp_path / "data")]
-        else:
+        elif command == "generate":
             config = {**spec, **config}
+        else:  # a rank-trap config takes no ensemble block
+            config = {"operator": spec["operator"], **config}
         cfg.write_text(json.dumps(config))
         return main(argv)
 

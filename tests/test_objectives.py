@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
+from tomokit.diagnostics import mu_exclusion, validity_certificate
 from tomokit.hermitian import DensityLike, HermitianMatrix, random_density, random_hermitian
 from tomokit.objectives import Objective
 from tomokit.operators import MeasurementData
+from tomokit.solvers import (
+    FactorState,
+    factorized_mle_step,
+    fgd_solve,
+    fgd_step,
+    gm_solve,
+    mle_solve,
+    mle_step,
+    pgd_solve,
+)
 
 RHO_FIX = DensityLike.from_array(np.array([[1.0, 1 - 1j], [1 + 1j, 2.0]]) / 3.0)
 
@@ -112,3 +123,30 @@ class TestConvexity:
                     for w in (0.25, 0.5, 0.75):
                         mid = DensityLike.from_array(w * a.entries + (1 - w) * b.entries)
                         assert obj.value(mid) <= w * fa + (1 - w) * fb + 1e-10
+
+
+# Every public entry that takes a state and an objective, called on (obj, rho, factor of rho).
+STATE_ENTRIES = {
+    "value": lambda obj, rho, X: obj.value(rho),
+    "gradient": lambda obj, rho, X: obj.gradient(rho),
+    "validity_certificate": lambda obj, rho, X: validity_certificate(rho, obj),
+    "mu_exclusion": lambda obj, rho, X: mu_exclusion(rho, obj),
+    "mle_step": lambda obj, rho, X: mle_step(rho, obj),
+    "fgd_step": lambda obj, rho, X: fgd_step(X, obj, 0.1),
+    "factorized_mle_step": lambda obj, rho, X: factorized_mle_step(X, obj),
+    "gm_solve": lambda obj, rho, X: gm_solve(rho, obj, max_iter=5),
+    "fgd_solve": lambda obj, rho, X: fgd_solve(X, obj, max_iter=5),
+    "mle_solve": lambda obj, rho, X: mle_solve(rho, obj, max_iter=5),
+    "pgd_solve": lambda obj, rho, X: pgd_solve(rho, obj, max_iter=5),
+}
+
+
+@pytest.mark.parametrize("dim", [5, 1])
+@pytest.mark.parametrize("entry", list(STATE_ENTRIES))
+def test_state_of_the_wrong_size_is_rejected(homodyne_small, entry, dim):
+    # each entry read a 5 x 5 state on this dim-4 operator without an error (value
+    # gave a number), and a 1 x 1 state ended in an IndexError
+    obj = Objective(homodyne_small, homodyne_small.apply(random_density(4, 2, 1)))
+    rho = random_density(dim, dim, 2)
+    with pytest.raises(ValueError, match=rf"state shape \({dim}, {dim}\) does not match dim 4"):
+        STATE_ENTRIES[entry](obj, rho, FactorState.from_density(rho, dim))

@@ -492,7 +492,7 @@ class TestScaledFactorized:
         rho_fix, data, _ = construct_spurious_t2(t)
         obj = Objective(t2, data, kind="nll")
         X = FactorState.from_density(rho_fix, 1).X
-        g = obj._gradient_arr(_outer(X))
+        g = obj.gradient(_outer(X)).entries
         for eps in (0.1, 0.5):
             out = _scaled_fgd_prepare(X, X, g)[1](eps)
             assert trace_norm(_outer(out) - _outer(X)) < 1e-12
@@ -506,7 +506,7 @@ class TestScaledFactorized:
         # X* X is singular.
         own = t2._apply_arr(_outer(X))
         for obj in (Objective(t2, data, kind="nll"), Objective(t2, own, kind="l2")):
-            g = obj._gradient_arr(_outer(X))
+            g = obj.gradient(_outer(X)).entries
             for eps in (0.1, 0.5):
                 out = _scaled_fgd_prepare(X, X, g)[1](eps)
                 assert trace_norm(_outer(out) - _outer(X)) < 1e-12
@@ -528,7 +528,7 @@ class TestScaledFactorized:
         rho_fix, data, _ = construct_spurious_t2(0.5)
         cases.append((Objective(t2, data, kind=kind), FactorState.from_density(rho_fix, 1).X))
         for obj, X in cases:
-            g = obj._gradient_arr(_outer(X))
+            g = obj.gradient(_outer(X)).entries
             expected = m_set_residual(_outer(X), -g)[1]
             assert _scaled_fgd_prepare(X, X, g)[2] == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
