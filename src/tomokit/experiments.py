@@ -214,6 +214,9 @@ def operator_from_descriptor(descriptor: dict) -> MeasurementOperator:
 
 # --- experiment spec ----------------------------------------------------------
 
+_GENERATE_KEYS = ("operator", "ensemble", "noise", "solvers", "seed", "output_dir")
+
+
 @dataclass
 class ExperimentSpec:
     """Resolved configuration for dataset generation."""
@@ -230,8 +233,10 @@ class ExperimentSpec:
 
     def __post_init__(self):
         _in_range(self.count_per_rank, "ensemble.count_per_rank", 1)
-        if not self.noise_scale > 0:
-            raise ValueError(f"config field noise.scale must be positive, got {self.noise_scale}")
+        # numpy's Poisson draw takes rates up to about 9.2e18; forward values are at most 1
+        if not 0 < self.noise_scale <= 9e18:
+            raise ValueError(f"config field noise.scale must be positive and at most 9e+18, "
+                             f"got {self.noise_scale}")
         _rank_list(self.ranks, "ensemble.ranks", self.dim)
         _in_range(self.seed, "seed", 0)
 
@@ -250,7 +255,7 @@ class ExperimentSpec:
 
 
 def parse_experiment_spec(config: dict, output_dir=None, seed=None) -> ExperimentSpec:
-    _json_object(config, "", ("operator", "ensemble", "noise", "solvers", "seed", "output_dir"))
+    _json_object(config, "", _GENERATE_KEYS)
     ensemble = config.get("ensemble", {})
     ensemble = _json_object(ensemble, "ensemble", ("dim", "ranks", "count_per_rank"))
     noise = _json_object(config.get("noise", {}), "noise", ("scale", "enabled"))
@@ -538,8 +543,11 @@ def reconstruct_dataset(dataset_dir, run_config: dict, out_dir=None) -> list[Run
     must be an N x N state for the operator whose numerical rank, its eigenvalues
     at or above KERNEL_EIG_CUTOFF, is `rank`, and each data file the operator's shape.
     A `solvers` key that is present and not null must be a JSON list; an empty or
-    absent one takes the manifest's solvers.
+    absent one takes the manifest's solvers. The run config takes generate's keys
+    and `oracle`, so that a generate config serves as a run config; any other key
+    is a ValueError.
     """
+    _json_object(run_config, "", _GENERATE_KEYS + ("oracle",))
     dataset = Path(dataset_dir)
     manifest = json.loads((dataset / "manifest.json").read_text(encoding="utf-8"))
     manifest = _json_of(manifest, "manifest", dict)

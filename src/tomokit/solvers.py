@@ -4,8 +4,9 @@ The multiplicative family updates rho -> A rho A / tr(A rho A) with
 A = I - eps * grad F(rho). On an N x r factor X with rho = X X* the same map
 is X -> A X / ||A X||_F, step for step when r = N, so every solve iterates a
 factor and no step needs an eigendecomposition; gm_step and mle_step are the
-full-matrix references. A projected-gradient solver serves as the independent
-reference for the convex problems.
+full-matrix references. One backtracking driver, _line_searched_solve, runs
+every solve: GM, FGD, RρR (the diluted step at delta = 1) and the
+projected-gradient oracle that serves as the reference for the convex problems.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class DegenerateStateError(RuntimeError):
 class StepPolicy:
     """Backtracking control of the line-searched iterations: eps only shrinks within a step.
 
-    A solve's first eps is 1 / (||grad F(rho0)||_F + 1); each rejected trial
-    halves eps, and a step fails once eps falls below min_eps.
+    GM's and FGD's first eps is 1 / (||grad F(rho0)||_F + 1); each rejected
+    trial halves eps, and a step fails once eps falls below min_eps.
     """
 
     min_eps: float = 1e-14
@@ -64,6 +65,7 @@ class StepPolicy:
 class SolverTrace:
     """Per-iteration bookkeeping for a solve; `trials` counts every trial step taken
     and `restarts` every momentum restart, after a failed trial or from the gradient.
+    `eps_values` holds each accepted eps, for mle_solve the dilution delta.
     `residuals` holds the Frobenius norm of each accepted density step, a lower
     bound on the trace norm that the stop test compares with tol. `certificate` is
     the validity certificate of the final state when the certificate stop ended
@@ -175,9 +177,12 @@ def _fgd_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
     return None, lambda eps: _renormalized(X - eps * gX), None
 
 
-def _mle_apply_arr(X: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _mle_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
+    """The diluted likelihood step delta -> normalize((1 - delta) X + delta R X) with
+    R = -grad F, without momentum or certificate stop; delta = 1 is RρR's R X / ||R X||."""
     # R = -grad F, negated before the product so that signed zeros match R @ X.
-    return _renormalized((-g) @ X)
+    RX = (-g) @ X
+    return None, lambda d: _renormalized(RX if d == 1.0 else (1.0 - d) * X + d * RX), None
 
 
 def _scaled_fgd_prepare(X: np.ndarray, X_prev: np.ndarray, g: np.ndarray):
@@ -219,7 +224,7 @@ def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("the factorized likelihood step requires the nll objective")
     g = obj._gradient_from(obj.operator.apply(_outer(state.X)))
-    return FactorState(_mle_apply_arr(state.X, g))
+    return FactorState(_mle_prepare(state.X, state.X, g)[1](1.0))
 
 
 # --- full solves -------------------------------------------------------------
@@ -239,17 +244,6 @@ def _check_stop_rule(tol: float, max_iter: int, where: str = "") -> None:
         raise ValueError(f"{where}tol must be finite and >= 0, got {tol!r}")
     if not max_iter >= 0:
         raise ValueError(f"{where}max_iter must be >= 0, got {max_iter!r}")
-
-
-def _record_step(trace: SolverTrace, f: float, eps: float, d_rho, tol: float) -> bool:
-    """Append an accepted step's objective, eps and residual ||d_rho||_F to the trace,
-    and tell whether it stops the solve: trace_norm(d_rho) < tol. The eigensolve runs
-    only once the residual, its lower bound, is below tol."""
-    residual = _norm(d_rho)
-    trace.objective_values.append(f)
-    trace.eps_values.append(eps)
-    trace.residuals.append(residual)
-    return residual < tol and trace_norm(d_rho) < tol
 
 
 def _line_searched_solve(
@@ -279,12 +273,14 @@ def _line_searched_solve(
     `next_eps(eps, d_rho, d_g)`, when given, sets the first trial eps of the
     next step from the accepted eps and the last density and gradient changes;
     without it eps carries over.
-    The solve stops `converged` at the first accepted step d_rho with
-    trace_norm(d_rho) < tol (see _record_step), or at the first accepted state
-    whose m_residual is at most FIX_TOL and whose full certificate is decisive:
-    valid, or spurious with a kernel-restricted eigenvalue below -PSD_TOL, and
-    then keeps that certificate as trace.certificate. So the certificate's
-    eigensolves run only at fixed points.
+    The trace records each accepted step's objective, eps and ||d_rho||_F. The
+    solve stops `converged` at the first accepted step with trace_norm(d_rho) <
+    tol (its eigensolve runs only once ||d_rho||_F, a lower bound, is below
+    tol), or at the first accepted state whose m_residual is at most FIX_TOL
+    and whose full certificate is decisive: valid, or spurious with a
+    kernel-restricted eigenvalue below -PSD_TOL, and then keeps that
+    certificate as trace.certificate. So the certificate's eigensolves run
+    only at fixed points.
     """
     _check_stop_rule(tol, max_iter)
     rho = density_of(state)
@@ -332,7 +328,10 @@ def _line_searched_solve(
             trace.restarts += 1
         elif restart is not None:
             k += 1
-        converged = _record_step(trace, f, eps, d_rho, tol)
+        trace.objective_values.append(f)
+        trace.eps_values.append(eps)
+        trace.residuals.append(_norm(d_rho))
+        converged = trace.residuals[-1] < tol and trace_norm(d_rho) < tol
         if not converged and m_residual is not None:
             trace.certificate = _decisive(rho, g_new, m_residual)
             converged = trace.certificate is not None
@@ -428,35 +427,37 @@ def fgd_solve(
     return FactorState(final), trace
 
 
+class _Undiluted(StepPolicy):
+    """mle_solve's first delta, the undiluted RρR step."""
+
+    def resolve_initial(self, gradient_norm: float) -> float:
+        return 1.0
+
+
 def mle_solve(
     rho0: DensityLike,
     obj: Objective,
     max_iter: int = 20000,
     tol: float = 1e-10,
 ) -> tuple[DensityLike, SolverTrace]:
-    """Plain multiplicative likelihood iteration (no step size, no descent guarantee),
-    with gm_solve's stop rule and residuals. It iterates factorized_mle_step's
-    kernel from FactorState.from_density(rho0, N); mle_step is the full-matrix
-    reference.
+    """Likelihood iteration RρR with gm_solve's driver, stop rule and residuals.
+
+    Each step is the diluted iteration X -> normalize((1 - delta) X + delta R X),
+    R = -grad F (Řeháček, Hradil, Knill and Lvovsky, PRA 75, 042108 (2007)), from
+    FactorState.from_density(rho0, N). It tries delta = 1, the plain RρR step of
+    factorized_mle_step (mle_step is the full-matrix reference), first; a rise above
+    DESCENT_SLACK halves delta, and each accepted step shrinks 1 - delta by 1.5
+    until it underflows to delta = 1.0. So objective values are non-increasing
+    and trace.eps_values holds the accepted deltas.
     """
     if obj.kind != NEG_LOG_LIKELIHOOD:
         raise ValueError("mle_solve requires the nll objective")
-    _check_stop_rule(tol, max_iter)
-    X = FactorState.from_density(rho0, rho0.dim).X
-    rho = _outer(X)
-    p = obj.operator.apply(rho)
-    trace = SolverTrace(objective_values=[obj._value_from(p)])
-
-    for _ in range(max_iter):
-        X = _mle_apply_arr(X, obj._gradient_from(p))
-        trace.trials += 1
-        prev, rho = rho, _outer(X)
-        p = obj.operator._apply_arr(rho)
-        if _record_step(trace, obj._value_from(p), math.nan, rho - prev, tol):
-            trace.stop_reason = CONVERGED
-            break
-
-    return DensityLike.from_array(rho), trace
+    final, trace = _line_searched_solve(
+        FactorState.from_density(rho0, rho0.dim).X, obj, _Undiluted(), max_iter, tol,
+        density_of=_outer, prepare=_mle_prepare,
+        next_eps=lambda delta, _d_rho, _d_g: 1.0 - (1.0 - delta) / 1.5,
+    )
+    return DensityLike.from_array(_outer(final)), trace
 
 
 def pgd_solve(

@@ -914,6 +914,16 @@ class TestCli:
                 "config field ensemble.count_per_rank must be >= 1, got 0",
             ),
             ("generate", {"noise": {"scale": 0}}, "config field noise.scale must be positive"),
+            (
+                "generate",
+                {"noise": {"scale": 2e19}},
+                "config field noise.scale must be positive and at most 9e+18, got 2e+19",
+            ),
+            (
+                "generate",
+                {"noise": {"scale": 1e300}},
+                "config field noise.scale must be positive and at most 9e+18, got 1e+300",
+            ),
             ("generate", {"operator": MISSING}, "config field operator must be a JSON object"),
             ("validate", {"operator": MISSING}, "config field operator must be a JSON object"),
             ("validate", {"fit": "l3"}, "config field fit must be nll or l2, got 'l3'"),
@@ -932,15 +942,23 @@ class TestCli:
             ("rank-trap", {"start_rank": [1]}, "config field start_rank is unknown"),
             ("generate", {"noise_scale": 10.0}, "config field noise_scale is unknown"),
             ("validate", {"fits": "l2"}, "config field fits is unknown"),
+            ("reconstruct", {"solver": [{"solver": "mle"}]}, "config field solver is unknown"),
+            (
+                "reconstruct",
+                {"solvers": [{"solver": "gm"}], "orcale": {"tol": 1e-3}},
+                "config field orcale is unknown",
+            ),
         ],
         ids=[
             "rank-trap-count", "rank-trap-start-rank", "rank-trap-operator",
             "generate-ranks-high", "generate-ranks-empty", "generate-ranks-repeated",
             "generate-ranks-missing",
-            "generate-count-per-rank", "generate-noise-scale", "generate-operator",
+            "generate-count-per-rank", "generate-noise-scale", "generate-noise-scale-2e19",
+            "generate-noise-scale-1e300", "generate-operator",
             "validate-operator", "validate-fit", "reconstruct-data-truth",
             "rank-trap-seed", "generate-seed", "reconstruct-solver-seed",
             "rank-trap-unknown-key", "generate-unknown-key", "validate-unknown-key",
+            "reconstruct-unknown-solver-key", "reconstruct-unknown-oracle-key",
         ],
     )
     def test_config_errors_name_their_field(
@@ -953,7 +971,10 @@ class TestCli:
         # data variant passed the entry check and stopped inside reconstruct
         # after the first solve; a negative seed failed inside numpy, after generate
         # had made its first instance directory, or passed in a full-rank entry; an
-        # unknown top-level key was ignored, so start_rank ran every start rank
+        # unknown top-level key was ignored, so start_rank ran every start rank, a
+        # mistyped reconstruct "solver" ran the manifest's solvers and "orcale" the
+        # default oracle; a noise scale above numpy's Poisson rate limit failed
+        # inside numpy with "lam value too large"
         calls = count_calls(
             monkeypatch, "load_matrix", "gm_solve", "fgd_solve", "mle_solve", "pgd_solve"
         )

@@ -703,7 +703,22 @@ class TestMleSolve:
         final, trace = mle_solve(maximally_mixed(2), obj, max_iter=10000, tol=1e-12)
         assert trace.stop_reason == CONVERGED
         assert trace_norm(final.entries - truth.entries) < 1e-6
-        assert all(math.isnan(e) for e in trace.eps_values)
+        # plain RρR descends here, so every step is the undiluted delta = 1
+        assert all(delta == 1.0 for delta in trace.eps_values)
+        assert trace.trials == trace.iterations
+
+    @pytest.mark.parametrize("seed, minimum", [(13, 0.7292131514012179), (34, 0.9226562914699823)])
+    def test_dilutes_where_plain_iteration_rises(self, t2, seed, minimum):
+        # plain RρR raised F by 1.08 (seed 13) and 0.43 (seed 34) on the way to
+        # these minima; a halved delta now takes the rising steps
+        data = np.random.default_rng(seed).gamma(0.3, size=(3, 2))
+        obj = Objective(t2, data / data.sum(axis=1, keepdims=True), kind="nll")
+        final, trace = mle_solve(random_density(2, 1, seed), obj, max_iter=2000, tol=1e-12)
+        assert trace.stop_reason == CONVERGED
+        assert np.diff(trace.objective_values).max() <= DESCENT_SLACK
+        assert min(trace.eps_values) < 1.0
+        assert obj.value(final) == pytest.approx(minimum, abs=1e-12)
+        assert validity_certificate(final, obj).verdict == VALID
 
     def test_requires_nll(self, t2):
         obj = Objective(t2, np.full((3, 2), 0.5), kind="l2")
