@@ -229,9 +229,10 @@ def factorized_mle_step(state: FactorState, obj: Objective) -> FactorState:
 
 # --- full solves -------------------------------------------------------------
 
-def _barzilai_borwein(eps: float, d_rho: np.ndarray, d_g: np.ndarray) -> float:
-    """Spectral step |d_rho|^2 / <d_rho, d_g>, clamped; doubles eps without curvature."""
-    curvature = float(np.vdot(d_rho, d_g).real)
+def _barzilai_borwein(eps: float, d_rho: np.ndarray, g_new: np.ndarray, g: np.ndarray) -> float:
+    """Spectral step |d_rho|^2 / <d_rho, d_g> with d_g = g_new - g, clamped; doubles eps
+    without curvature."""
+    curvature = float(np.vdot(d_rho, g_new - g).real)
     if curvature > 0.0:
         return min(max(float(np.vdot(d_rho, d_rho).real) / curvature, 1e-12), 1e12)
     return eps * 2.0
@@ -270,9 +271,9 @@ def _line_searched_solve(
     degenerate momentum trial restarts and retries the plain step at the same
     eps, and only failed plain trials halve eps. A raised DegenerateStateError
     counts as a failed trial.
-    `next_eps(eps, d_rho, d_g)`, when given, sets the first trial eps of the
-    next step from the accepted eps and the last density and gradient changes;
-    without it eps carries over.
+    `next_eps(eps, d_rho, g_new, g)`, when given, sets the first trial eps of
+    the next step from the accepted eps, the last density change and the
+    gradients after and before it; without it eps carries over.
     The trace records each accepted step's objective, eps and ||d_rho||_F. The
     solve stops `converged` at the first accepted step with trace_norm(d_rho) <
     tol (its eigensolve runs only once ||d_rho||_F, a lower bound, is below
@@ -339,7 +340,7 @@ def _line_searched_solve(
             trace.stop_reason = CONVERGED
             break
         if next_eps is not None:
-            eps = next_eps(eps, d_rho, g_new - g)
+            eps = next_eps(eps, d_rho, g_new, g)
         g = g_new
 
     return state, trace
@@ -455,7 +456,7 @@ def mle_solve(
     final, trace = _line_searched_solve(
         FactorState.from_density(rho0, rho0.dim).X, obj, _Undiluted(), max_iter, tol,
         density_of=_outer, prepare=_mle_prepare,
-        next_eps=lambda delta, _d_rho, _d_g: 1.0 - (1.0 - delta) / 1.5,
+        next_eps=lambda delta, _d_rho, _g_new, _g: 1.0 - (1.0 - delta) / 1.5,
     )
     return DensityLike.from_array(_outer(final)), trace
 

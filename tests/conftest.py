@@ -5,7 +5,7 @@ import pytest
 
 from tomokit import DensityLike, random_density, solvers
 from tomokit.experiments import operator_from_descriptor, standard_homodyne_descriptor
-from tomokit.operators import _hermite_rows, pauli_six_state
+from tomokit.operators import _gauss_legendre, _hermite_rows, pauli_six_state
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +49,7 @@ def _reference_overlaps(descriptor: dict) -> tuple[np.ndarray, np.ndarray]:
     N, quad_order = descriptor["dim"], descriptor.get("quad_order", 20)
     angles = np.asarray(descriptor["angles"], dtype=float)
     edges = np.asarray(descriptor["bin_edges"], dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    nodes, weights = _gauss_legendre(quad_order)
     K = edges.size - 1
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

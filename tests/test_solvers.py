@@ -670,10 +670,11 @@ class TestPgdSolve:
 
 class TestLineSearch:
     def test_barzilai_borwein_doubles_eps_without_curvature(self):
-        d_rho = np.diag([1.0, -1.0]).astype(complex)
-        assert _barzilai_borwein(0.25, d_rho, 0.1 * d_rho) == pytest.approx(10.0)
-        assert _barzilai_borwein(0.25, d_rho, -d_rho) == 0.5
-        assert _barzilai_borwein(0.25, d_rho, np.zeros((2, 2))) == 0.5
+        # the rule reads the gradient change g_new - g
+        d_rho, g = np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex)
+        assert _barzilai_borwein(0.25, d_rho, g + 0.1 * d_rho, g) == pytest.approx(10.0)
+        assert _barzilai_borwein(0.25, d_rho, g - d_rho, g) == 0.5
+        assert _barzilai_borwein(0.25, d_rho, g, g) == 0.5
 
     def test_degenerate_trial_fails_and_halves_eps(self, t2):
         # the first trial raises; the second, at half the eps, returns the start,
