@@ -612,9 +612,9 @@ def rank_trap(config: dict, out_dir=None) -> tuple[list[RunRecord], list[dict]]:
     at or above the true rank stops once it reads valid (m_residual <= 1e-8);
     a start below it stops, with the verdict spurious in its record, once it
     reads spurious with a kernel-restricted eigenvalue below -PSD_TOL. At
-    the criterion-09 config a start takes a median of 334 / 231.5 / 166 /
-    135.5 iterations at r = 1-4 and 99.5-108 at r >= 5, and r >= 5 ends
-    within 3e-8 trace distance of the truth, 1.4e-8 in the median: the
+    the criterion-09 config a start takes a median of 165 / 161.5 / 137 /
+    117.5 iterations at r = 1-4 and 92-100 at r >= 5, and r >= 5 ends
+    within 2.5e-8 trace distance of the truth, 1.3e-8 in the median: the
     certificate's own tolerance (plain FGD at tol 1e-12: about 6e-10).
     The config fields are checked before any truth is drawn: `fit` nll or l2
     (nll), `true_rank` in [1, N] (5), `count` >= 1 (10), a nonempty

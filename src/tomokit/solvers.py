@@ -46,8 +46,10 @@ class DegenerateStateError(RuntimeError):
 class StepPolicy:
     """Backtracking control of the line-searched iterations: eps only shrinks within a step.
 
-    GM's and FGD's first eps is 1 / (||grad F(rho0)||_F + 1); each rejected
-    trial halves eps, and a step fails once eps falls below min_eps.
+    GM's and FGD's first eps is 1 / (||grad F(I/N)||_F + 1), read at the
+    maximally mixed state whatever the start, so every start on one objective
+    shares it; each rejected trial halves eps, and a step fails once eps falls
+    below min_eps.
     """
 
     min_eps: float = 1e-14
@@ -259,6 +261,11 @@ def _line_searched_solve(
 ):
     """Shared backtracking descent loop for every line-searched iteration.
 
+    The first trial eps is policy.resolve_initial(||grad F(I/N)||_F), read at
+    the maximally mixed state I/N and not at the start: a rank-deficient start
+    has small forward values and so a large nll gradient, which would hold the
+    whole solve at a tiny eps (the rate near the limit does not depend on the
+    start). For a solve from I/N the two points coincide.
     `density_of` maps the raw state to its density array. `prepare(state, prev,
     g)` is called once for the start (with prev = state) and once per accepted
     state, with the gradient g there; it returns (restart, step, m_residual),
@@ -285,10 +292,11 @@ def _line_searched_solve(
     """
     _check_stop_rule(tol, max_iter)
     rho = density_of(state)
+    p_mixed = obj.operator.apply(np.eye(rho.shape[0], dtype=np.complex128) / rho.shape[0])
+    eps = policy.resolve_initial(float(np.linalg.norm(obj._gradient_from(p_mixed))))
     p = obj.operator.apply(rho)
     f = obj._value_from(p)
     g = obj._gradient_from(p)
-    eps = policy.resolve_initial(float(np.linalg.norm(g)))
 
     trace = SolverTrace(objective_values=[f])
     _, step, _ = prepare(state, state, g)
@@ -357,12 +365,13 @@ def gm_solve(
 
     It is fgd_solve at r = N, from FactorState.from_density(rho0, N), and
     returns the density of its final factor; gm_step is the full-matrix
-    reference. Objective values along the trace are non-increasing (within a
-    1e-12 slack). The solve stops once the trace norm of the last step is
-    below tol; `trace.residuals` records each step's Frobenius norm, which
-    bounds it from below. A small step certifies a fixed point, not a
-    solution: run the validity certificate on the result to tell the two
-    apart. tol must be finite and >= 0 and max_iter >= 0, else ValueError.
+    reference. Its first eps is read at I/N (see StepPolicy). Objective values
+    along the trace are non-increasing (within a 1e-12 slack). The solve stops
+    once the trace norm of the last step is below tol; `trace.residuals`
+    records each step's Frobenius norm, which bounds it from below. A small
+    step certifies a fixed point, not a solution: run the validity certificate
+    on the result to tell the two apart. tol must be finite and >= 0 and
+    max_iter >= 0, else ValueError.
     """
     final, trace = fgd_solve(FactorState.from_density(rho0, rho0.dim), obj, policy, max_iter, tol)
     return final.density(), trace
@@ -381,7 +390,8 @@ def fgd_solve(
     Iterates stay rank <= r, and a zero column stays exactly zero; the stop
     rule, residuals and objective values are measured on the outer products
     X X*. The plain step is X <- normalize(X - eps * grad F X); gm_solve is
-    this solve at r = N.
+    this solve at r = N. Both steps read their first eps at I/N, not at state0
+    (see StepPolicy), so every start on one objective shares it.
 
     precondition=True takes the scaled step
     X <- normalize(X - eps * G X (X* X + lam I)^-1), where

@@ -361,10 +361,11 @@ class TestRankTrap:
         return records
 
     def test_iteration_budget(self, small_descriptor):
-        # a deterministic counter, unaffected by machine load: the momentum
-        # without the gradient restart took 6,044 iterations here, with it 4,314
+        # a deterministic counter, unaffected by machine load: with the first eps
+        # read at each start these solves took 3,760 iterations, read at the
+        # maximally mixed state 3,173
         total = sum(rec.iterations for rec in self.budget_records(small_descriptor))
-        assert total <= 4800
+        assert total <= 3500
 
     def test_eigensolve_budget(self, small_descriptor, monkeypatch):
         # a deterministic counter: with a trace-norm eigensolve on every step

@@ -48,8 +48,10 @@ def halvings(trace, eps0):
     return round(math.log2(eps0 / trace.eps_values[-1]))
 
 
-def default_eps(obj, rho0):
-    return StepPolicy().resolve_initial(float(np.linalg.norm(obj.gradient(rho0).entries)))
+def default_eps(obj):
+    """The first eps of every solve on obj, read at the maximally mixed state."""
+    mixed = maximally_mixed(obj.operator.dim)
+    return StepPolicy().resolve_initial(float(np.linalg.norm(obj.gradient(mixed).entries)))
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,49 @@ class TestStepPolicy:
 
     def test_auto_initial(self):
         assert StepPolicy().resolve_initial(3.0) == pytest.approx(0.25)
+
+
+class TestFirstEps:
+    @pytest.mark.parametrize("kind", ["nll", "l2"])
+    def test_every_start_reads_its_first_eps_at_the_maximally_mixed_state(
+        self, homodyne_small, kind, monkeypatch
+    ):
+        # a rank-deficient start's small forward values give a large nll
+        # gradient; read there, the first eps would keep its whole solve small
+        obj = Objective(homodyne_small, homodyne_small.apply(random_density(4, 2, 95)), kind=kind)
+        starts = [FactorState.from_density(random_density(4, r, 96 + r), r) for r in (1, 2, 4)]
+        at_start = {
+            StepPolicy().resolve_initial(float(np.linalg.norm(obj.gradient(s.density()).entries)))
+            for s in starts
+        }
+        assert len(at_start) == 3  # the starts themselves disagree
+        expected = default_eps(obj)
+        first = []
+        resolve = StepPolicy.resolve_initial
+
+        def recording(self, gradient_norm):
+            first.append(resolve(self, gradient_norm))
+            return first[-1]
+
+        monkeypatch.setattr(StepPolicy, "resolve_initial", recording)
+        for state0 in starts:
+            for precondition in (False, True):
+                fgd_solve(state0, obj, max_iter=1, precondition=precondition)
+        gm_solve(maximally_mixed(4), obj, max_iter=1)
+        assert first == [expected] * 7
+
+    @pytest.mark.parametrize("precondition", [False, True])
+    def test_floored_start_reaches_its_fixed_point(self, t2, precondition):
+        # |0> gives the Z setting's |1> outcome, which has counts, a zero forward
+        # value: its gradient norm is about 3e11, and with a first eps read there
+        # (3.3e-12) 2,000 plain steps end at max_iter, F 9.68 -> 7.19
+        truth = DensityLike.from_array(np.array([[0.7, 0.3], [0.3, 0.3]], dtype=complex))
+        obj = Objective(t2, t2.apply(truth), kind="nll")
+        state0 = FactorState(np.array([[1.0], [0.0]], dtype=complex))
+        assert obj.floor_active(state0.density())
+        state, trace = fgd_solve(state0, obj, max_iter=200, tol=1e-12, precondition=precondition)
+        assert trace.stop_reason == CONVERGED
+        assert validity_certificate(state.density(), obj).verdict == SPURIOUS
 
 
 class TestFactorState:
@@ -599,7 +644,7 @@ class TestScaledFactorized:
                 _, trace = fgd_solve(state0, obj, max_iter=3000, tol=1e-12, precondition=True)
                 assert np.diff(trace.eps_values).max() <= 0.0
                 assert np.diff(trace.objective_values).max() <= DESCENT_SLACK
-                eps0 = default_eps(obj, start)
+                eps0 = default_eps(obj)
                 restarts.append(trace.trials - trace.iterations - halvings(trace, eps0))
                 # restarts counts the failed-trial restarts plus the gradient
                 # restarts, which cost no trial
@@ -612,7 +657,7 @@ class TestScaledFactorized:
         X = FactorState.from_density(random_density(4, 2, 71), 2).X
         state0 = FactorState(np.hstack([X, np.zeros((4, 1), dtype=complex)]))
         state, trace = fgd_solve(state0, obj, max_iter=300, precondition=True)
-        eps0 = default_eps(obj, state0.density())
+        eps0 = default_eps(obj)
         assert trace.trials > trace.iterations + halvings(trace, eps0)
         assert np.abs(state.X[:, 2]).max() == 0.0
 
@@ -692,7 +737,7 @@ class TestLineSearch:
             start, obj, StepPolicy(), max_iter=1, tol=0.0, density_of=lambda arr: arr,
             prepare=lambda arr, _prev, g: (None, step, None),
         )
-        assert trial_eps == [default_eps(obj, maximally_mixed(2)), trial_eps[0] / 2]
+        assert trial_eps == [default_eps(obj), trial_eps[0] / 2]
         assert (trace.trials, trace.eps_values, trace.stop_reason) == (2, trial_eps[1:], MAX_ITER)
         assert final is start
 
